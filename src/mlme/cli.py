@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 
-from .dataset import Dataset, Standardizer, load_arff, load_csv
+from .dataset import Dataset, Standardizer, load_arff, load_csv, read_csv_rows
 from .errors import ArgumentError, MlmeError, SchemaError
 from .evaluation import EvalReport, _aggregate, cross_validate, evaluate_model
 from .inference import AnnealConfig, predict_dataset
@@ -140,41 +140,6 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _read_feature_rows(path) -> np.ndarray:
-    rows = []
-    n_cols = None
-    row_no = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            row_no += 1
-            parts = line.split(",")
-            if n_cols is None:
-                n_cols = len(parts)
-            elif len(parts) != n_cols:
-                raise SchemaError(
-                    f"row {row_no}: expected {n_cols} columns, got {len(parts)}")
-            try:
-                rows.append([float(p) for p in parts])
-            except ValueError:
-                bad = next(p for p in parts if not _is_floatable(p))
-                raise SchemaError(
-                    f"row {row_no}: could not parse value '{bad.strip()}'") from None
-    if not rows:
-        raise SchemaError(f"{path}: no data rows")
-    return np.asarray(rows)
-
-
-def _is_floatable(s: str) -> bool:
-    try:
-        float(s)
-        return True
-    except ValueError:
-        return False
-
-
 def _features_for_model(args, model) -> np.ndarray:
     """(N, m+1) biased feature matrix matching the model's dimensionality."""
     m, d = model.n_features - 1, model.d
@@ -187,7 +152,7 @@ def _features_for_model(args, model) -> np.ndarray:
             raise SchemaError(
                 f"model expects m={m} features but data has m={data.m}")
         return data.features
-    raw = _read_feature_rows(args.data)
+    raw = read_csv_rows(args.data)
     if raw.shape[1] == m + d:
         raw = raw[:, :m]
     elif raw.shape[1] != m:
@@ -197,17 +162,11 @@ def _features_for_model(args, model) -> np.ndarray:
     return np.hstack([np.ones((raw.shape[0], 1)), raw])
 
 
-def _apply_scaler(features: np.ndarray, scaler) -> np.ndarray:
-    if scaler is None:
-        return features
-    out = features.copy()
-    out[:, 1:] = (out[:, 1:] - scaler.mean) / scaler.scale
-    return out
-
-
 def cmd_predict(args) -> int:
     model, scaler = load_model(args.model)
-    features = _apply_scaler(_features_for_model(args, model), scaler)
+    features = _features_for_model(args, model)
+    if scaler is not None:
+        features = scaler.transform_features(features)
     cfg = AnnealConfig.for_iterations(args.anneal_iters, seed=args.seed)
     preds, logps = predict_dataset(model, features, cfg)
     lines = []
@@ -274,7 +233,7 @@ def main(argv=None) -> int:
     except MlmeError as exc:
         print(f"mlme: error[{exc.code}] {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"mlme: error[io] {exc}", file=sys.stderr)
         return 2
 

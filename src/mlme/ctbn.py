@@ -10,6 +10,7 @@ one upward max-sum pass and one downward backtracking pass per tree.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -20,7 +21,7 @@ from .logreg import (
     DEFAULT_OPTIMIZER,
     LinearModel,
     OptimizerConfig,
-    log_sigmoid,
+    logistic_log_prob,
     train_weighted,
 )
 
@@ -61,6 +62,14 @@ class TreeStructure:
     @property
     def roots(self) -> tuple[int, ...]:
         return tuple(i for i, p in enumerate(self.parent) if p is None)
+
+    @cached_property
+    def parent_index(self) -> np.ndarray:
+        """(d,) parent of each node for tree_log_prob; roots point at d."""
+        index = np.array([self.d if p is None else p for p in self.parent],
+                         dtype=np.intp)
+        index.flags.writeable = False
+        return index
 
     def children(self) -> list[list[int]]:
         ch: list[list[int]] = [[] for _ in range(self.d)]
@@ -132,44 +141,43 @@ class CtbnExpert:
         return self.param_table() @ np.asarray(x, dtype=np.float64)
 
 
+def tree_log_prob(logits: np.ndarray, parent_index: np.ndarray,
+                  Y: np.ndarray) -> np.ndarray:
+    """log P(y | x) = sum_i log P(y_i | x, y_parent(i)) for every (y, expert).
+
+    ``Y`` is (..., d) binary and ``parent_index`` is (d,) or (K, d) as in
+    TreeStructure.parent_index; the result has shape Y.shape[:-1] +
+    parent_index.shape[:-1].  ``logits`` holds z[i, v], the logit of node i
+    given parent label v (param_table times x), and must broadcast to
+    Y.shape[:-1] + parent_index.shape + (2,).  Roots read a padded label
+    column that is always 0, so they take branch 0.  Terms are summed in
+    node order starting from 0.0, bit-identical to a scalar loop over nodes.
+    """
+    Y = np.asarray(Y)
+    d = Y.shape[-1]
+    padded = np.zeros(Y.shape[:-1] + (d + 1,), dtype=np.int8)
+    padded[..., :-1] = Y
+    branch = padded[..., parent_index]
+    z = np.where(branch == 1, logits[..., 1], logits[..., 0])
+    own = Y.reshape(Y.shape[:-1] + (1,) * (parent_index.ndim - 1) + (d,))
+    return 0.0 + np.cumsum(logistic_log_prob(z, own), axis=-1)[..., -1]
+
+
 def joint_log_prob(expert: CtbnExpert, x: np.ndarray, y: Sequence[int]) -> float:
     """log P(y | x) = sum_i log P(y_i | x, y_parent(i)); always <= 0."""
     y = np.asarray(y)
-    if y.shape[0] != expert.d:
+    if y.shape != (expert.d,):
         raise ArgumentError("label vector length does not match expert")
-    z = expert.logit_table(x)
-    total = 0.0
-    for i, p in enumerate(expert.structure.parent):
-        v = 0 if p is None else int(y[p])
-        zi = z[i, v]
-        total += float(log_sigmoid(zi if y[i] == 1 else -zi))
-    return total
+    return float(tree_log_prob(expert.logit_table(x),
+                               expert.structure.parent_index, y))
 
 
 def log_likelihoods(expert: CtbnExpert, data: Dataset) -> np.ndarray:
     """(N,) joint conditional log-probability of every instance's labels."""
     if expert.d != data.d:
         raise ArgumentError("expert and dataset label counts differ")
-    X, Y = data.features, data.labels
-    n = data.n
-    Z = np.einsum("ivp,np->niv", expert.param_table(), X)
-    rows = np.arange(n)
-    out = np.zeros(n)
-    for i, p in enumerate(expert.structure.parent):
-        v = np.zeros(n, dtype=np.intp) if p is None else Y[:, p].astype(np.intp)
-        zi = Z[rows, i, v]
-        sign = 2.0 * Y[:, i] - 1.0
-        out += log_sigmoid(sign * zi)
-    return out
-
-
-def node_log_probs(expert: CtbnExpert, x: np.ndarray) -> np.ndarray:
-    """(d, 2, 2) table lp[i, v, u] = log P(y_i = u | x, parent = v)."""
-    z = expert.logit_table(x)
-    lp = np.empty((expert.d, 2, 2))
-    lp[:, :, 1] = log_sigmoid(z)
-    lp[:, :, 0] = log_sigmoid(-z)
-    return lp
+    Z = np.einsum("ivp,np->niv", expert.param_table(), data.features)
+    return tree_log_prob(Z, expert.structure.parent_index, data.labels)
 
 
 def exact_map(expert: CtbnExpert, x: np.ndarray) -> tuple[np.ndarray, float]:
@@ -180,7 +188,8 @@ def exact_map(expert: CtbnExpert, x: np.ndarray) -> tuple[np.ndarray, float]:
     arg-max label; one downward pass reads the assignment off.  Ties prefer
     label 0, so the result is a pure function of (expert, x).
     """
-    lp = node_log_probs(expert, x)
+    # lp[i, v, u] = log P(y_i = u | x, parent = v)
+    lp = logistic_log_prob(expert.logit_table(x)[:, :, None], np.array([0, 1]))
     order = expert.structure.topological_order()
     ch = expert.structure.children()
     d = expert.d

@@ -148,49 +148,61 @@ def as_weight_array(w, n: int) -> np.ndarray:
     return arr
 
 
-def load_csv(path, d: int) -> Dataset:
-    """Load a comma-separated file whose last ``d`` columns are binary labels.
+def read_csv_rows(path) -> np.ndarray:
+    """(N, c) float matrix of a comma-separated file with c equal columns.
 
-    Lines starting with '#' and blank lines are skipped.  The feature count m
-    is inferred from the first data row; a bias column is prepended.
+    Lines starting with '#' and blank lines are skipped; rows are numbered
+    from 1 over the remaining lines.  An unparsable or non-finite cell
+    raises DataParseError naming its row.
     """
-    if d < 1:
-        raise ArgumentError("label count d must be >= 1")
     rows = []
-    labels = []
     n_cols = None
-    row_no = 0
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            row_no += 1
             parts = line.split(",")
             if n_cols is None:
                 n_cols = len(parts)
-                if n_cols < d + 1:
-                    raise SchemaError(
-                        f"row {row_no}: needs at least {d + 1} columns "
-                        f"(>=1 feature + {d} labels), got {n_cols}")
             elif len(parts) != n_cols:
-                raise SchemaError(
-                    f"row {row_no}: expected {n_cols} columns, got {len(parts)}")
+                raise SchemaError(f"row {len(rows) + 1}: expected {n_cols} "
+                                  f"columns, got {len(parts)}")
             try:
-                values = [float(p) for p in parts]
+                rows.append([float(p) for p in parts])
             except ValueError:
                 bad = next(p for p in parts if not _is_float(p))
-                raise DataParseError(
-                    f"row {row_no}: could not parse value '{bad.strip()}'") from None
-            lab = values[-d:]
-            if any(v not in (0.0, 1.0) for v in lab):
-                raise LabelError(
-                    f"row {row_no}: label values must be 0 or 1, got {lab}")
-            rows.append(values[:-d])
-            labels.append([int(v) for v in lab])
+                raise DataParseError(f"row {len(rows) + 1}: could not parse "
+                                     f"value '{bad.strip()}'") from None
     if not rows:
         raise SchemaError(f"{path}: no data rows")
-    return Dataset.from_raw(np.asarray(rows), np.asarray(labels))
+    values = np.asarray(rows)
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        r, c = bad[0]
+        raise DataParseError(f"row {r + 1}: non-finite value '{values[r, c]}'")
+    return values
+
+
+def load_csv(path, d: int) -> Dataset:
+    """Load a comma-separated file whose last ``d`` columns are binary labels.
+
+    Rows are read by read_csv_rows.  The feature count m is inferred from
+    the column count; a bias column is prepended.
+    """
+    if d < 1:
+        raise ArgumentError("label count d must be >= 1")
+    values = read_csv_rows(path)
+    if values.shape[1] < d + 1:
+        raise SchemaError(f"row 1: needs at least {d + 1} columns "
+                          f"(>=1 feature + {d} labels), got {values.shape[1]}")
+    labels = values[:, -d:]
+    bad = np.argwhere(~np.isin(labels, (0.0, 1.0)))
+    if bad.size:
+        r = bad[0, 0]
+        raise LabelError(f"row {r + 1}: label values must be 0 or 1, "
+                         f"got {labels[r].tolist()}")
+    return Dataset.from_raw(values[:, :-d], labels.astype(np.int8))
 
 
 def _is_float(s: str) -> bool:
@@ -353,14 +365,14 @@ class Standardizer:
         scale = np.where(scale > 0, scale, 1.0)
         return cls(mean, scale)
 
+    def transform_features(self, features: np.ndarray) -> np.ndarray:
+        """Z-score the non-bias columns of an (N, m+1) biased feature matrix."""
+        out = np.array(features, dtype=np.float64)
+        out[:, 1:] = (out[:, 1:] - self.mean) / self.scale
+        return out
+
     def transform(self, data: Dataset) -> Dataset:
-        cols = (data.features[:, 1:] - self.mean) / self.scale
-        return Dataset.from_raw(cols, data.labels)
+        return Dataset(self.transform_features(data.features), data.labels)
 
     def to_dict(self) -> dict:
         return {"mean": self.mean.tolist(), "scale": self.scale.tolist()}
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "Standardizer":
-        return cls(np.asarray(doc["mean"], dtype=np.float64),
-                   np.asarray(doc["scale"], dtype=np.float64))

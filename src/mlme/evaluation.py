@@ -232,12 +232,7 @@ def cross_validate(
         fold_cfg = replace(trainer, seed=_tagged_seed(seed, 101, fold_idx))
         model = grow_mixture(train_t, fold_cfg)
         elapsed = time.perf_counter() - start
-        fold_anneal = AnnealConfig(
-            iterations=anneal.iterations,
-            initial_temperature=anneal.initial_temperature,
-            cooling_rate=anneal.cooling_rate,
-            seed=_tagged_seed(seed, 102, fold_idx),
-        )
+        fold_anneal = replace(anneal, seed=_tagged_seed(seed, 102, fold_idx))
         baseline = None
         if with_baseline:
             lam = model.meta.get("lambda", 1.0)

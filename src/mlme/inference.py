@@ -11,14 +11,13 @@ test oracle for small label counts.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import logsumexp
 
 from . import ctbn
 from .errors import ArgumentError, GuardError
-from .logreg import log_sigmoid
 from .mixture import MixtureModel, gating_log_probs
 
 ENUMERATION_GUARD = 20  # enumerate_map refuses label spaces beyond 2^20
@@ -56,49 +55,31 @@ class _MixtureScorer:
 
     def __init__(self, model: MixtureModel, x: np.ndarray):
         x = np.asarray(x, dtype=np.float64)
-        self.parents = [e.structure.parent for e in model.experts]
-        self.logits = [e.logit_table(x) for e in model.experts]  # K x (d, 2)
+        if not np.all(np.isfinite(x)):
+            raise ArgumentError("feature vector must be finite")
+        self.parent_index = np.stack(
+            [e.structure.parent_index for e in model.experts])  # (K, d)
+        self.logits = np.stack([e.logit_table(x) for e in model.experts])
         self.log_gate = gating_log_probs(model.gating, x)
-        self.d = model.d
 
     def expert_scores(self, y: np.ndarray) -> np.ndarray:
-        scores = np.empty(len(self.logits))
-        for k, (parent, z) in enumerate(zip(self.parents, self.logits)):
-            total = 0.0
-            for i, p in enumerate(parent):
-                zi = z[i, 0 if p is None else y[p]]
-                total += log_sigmoid(zi if y[i] == 1 else -zi)
-            scores[k] = total
-        return scores
+        return ctbn.tree_log_prob(self.logits, self.parent_index, y)
 
     def logp(self, y: np.ndarray) -> float:
         return float(logsumexp(self.log_gate + self.expert_scores(y)))
 
     def logp_batch(self, Y: np.ndarray) -> np.ndarray:
         """Mixture log-probability of every row of an (M, d) label matrix."""
-        M = Y.shape[0]
-        comp = np.empty((M, len(self.logits)))
-        sign = 2.0 * Y - 1.0
-        for k, (parent, z) in enumerate(zip(self.parents, self.logits)):
-            total = np.zeros(M)
-            for i, p in enumerate(parent):
-                v = np.zeros(M, dtype=np.intp) if p is None else Y[:, p].astype(np.intp)
-                total += log_sigmoid(sign[:, i] * z[i, v])
-            comp[:, k] = total + self.log_gate[k]
-        return logsumexp(comp, axis=1)
+        comp = ctbn.tree_log_prob(self.logits, self.parent_index, Y)
+        return logsumexp(comp + self.log_gate, axis=1)
 
 
 def heuristic_init(model: MixtureModel, x: np.ndarray) -> np.ndarray:
     """Best of the per-expert exact MAP assignments, scored by the mixture."""
     scorer = _MixtureScorer(model, x)
-    best_y = None
-    best_lp = -np.inf
-    for expert in model.experts:
-        y, _ = ctbn.exact_map(expert, x)
-        lp = scorer.logp(y)
-        if lp > best_lp:
-            best_y, best_lp = y, lp
-    return best_y
+    candidates = [ctbn.exact_map(expert, x)[0] for expert in model.experts]
+    scores = [scorer.logp(y) for y in candidates]
+    return candidates[int(np.argmax(scores))]  # first max, as a strict > scan
 
 
 def map_predict(
@@ -151,13 +132,7 @@ def predict_dataset(
     preds = np.empty((n, model.d), dtype=np.int8)
     logps = np.empty(n)
     for i in range(n):
-        row_cfg = AnnealConfig(
-            iterations=cfg.iterations,
-            initial_temperature=cfg.initial_temperature,
-            cooling_rate=cfg.cooling_rate,
-            seed=cfg.seed + i,
-        )
-        y, lp = map_predict(model, features[i], row_cfg)
+        y, lp = map_predict(model, features[i], replace(cfg, seed=cfg.seed + i))
         preds[i] = y
         logps[i] = lp
     return preds, logps

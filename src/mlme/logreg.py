@@ -67,10 +67,9 @@ def predict_prob(model: LinearModel, x: np.ndarray) -> float:
     return float(sigmoid(model.params @ np.asarray(x, dtype=np.float64)))
 
 
-def predict_log_prob(model: LinearModel, x: np.ndarray, t: int) -> float:
-    """log P(t | x) via the symmetric form log sigma(+-z); never NaN."""
-    z = model.params @ np.asarray(x, dtype=np.float64)
-    return float(log_sigmoid(z if t == 1 else -z))
+def logistic_log_prob(z, t):
+    """Elementwise log P(t | logit z) = log sigma(+-z); finite for finite z."""
+    return log_sigmoid(np.where(t == 1, z, -z))
 
 
 def objective_and_gradient(params, X, t, w, lam):
@@ -81,9 +80,8 @@ def objective_and_gradient(params, X, t, w, lam):
     """
     params = np.asarray(params, dtype=np.float64)
     z = X @ params
-    ll = np.where(t == 1, log_sigmoid(z), log_sigmoid(-z))
     p = sigmoid(z)
-    value = float(w @ ll)
+    value = float(w @ logistic_log_prob(z, t))
     grad = X.T @ (w * (t - p))
     value -= 0.5 * lam * float(params[1:] @ params[1:])
     grad[1:] -= lam * params[1:]
@@ -172,8 +170,8 @@ def select_lambda(
             for i in range(train.d):
                 model = train_weighted(train.features, train.labels[:, i],
                                        ones, lam, cfg)
-                z = test.features @ model.params
-                lp = np.where(test.labels[:, i] == 1, log_sigmoid(z), log_sigmoid(-z))
+                lp = logistic_log_prob(test.features @ model.params,
+                                       test.labels[:, i])
                 scores[lam] += float(lp.sum())
     best = max(sorted(scores), key=lambda g: (scores[g], -g))
     return best
@@ -185,9 +183,9 @@ __all__ = [
     "DEFAULT_OPTIMIZER",
     "DEFAULT_LAMBDA_GRID",
     "log_sigmoid",
+    "logistic_log_prob",
     "sigmoid",
     "predict_prob",
-    "predict_log_prob",
     "objective_and_gradient",
     "train_weighted",
     "select_lambda",

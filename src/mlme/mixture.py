@@ -91,16 +91,12 @@ class MixtureModel:
         return self.experts[0].n_features
 
 
-def expert_log_prob_matrix(model: MixtureModel, data: Dataset) -> np.ndarray:
-    """(N, K) joint log-likelihood of each instance under each expert."""
-    return np.column_stack([ctbn.log_likelihoods(e, data) for e in model.experts])
-
-
 def component_log_prob_matrix(model: MixtureModel, data: Dataset) -> np.ndarray:
     """(N, K) of log g_k(x_n) + log P(y_n | x_n, expert_k)."""
     Z = data.features @ model.gating.theta.T
     log_g = Z - logsumexp(Z, axis=1, keepdims=True)
-    return log_g + expert_log_prob_matrix(model, data)
+    return log_g + np.column_stack(
+        [ctbn.log_likelihoods(e, data) for e in model.experts])
 
 
 def mixture_log_prob(model: MixtureModel, x: np.ndarray, y) -> float:

@@ -20,7 +20,7 @@ from .errors import ArgumentError
 from .logreg import (
     DEFAULT_OPTIMIZER,
     OptimizerConfig,
-    log_sigmoid,
+    logistic_log_prob,
     train_weighted,
 )
 
@@ -66,8 +66,7 @@ def _holdout_wcll(params, Xh, targets, wh, branch_sel=None, params_alt=None):
     z = Xh @ params
     if branch_sel is not None:
         z = np.where(branch_sel == 1, Xh @ params_alt, z)
-    lp = np.where(targets == 1, log_sigmoid(z), log_sigmoid(-z))
-    return float(wh @ lp)
+    return float(wh @ logistic_log_prob(z, targets))
 
 
 def build_graph(

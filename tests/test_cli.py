@@ -7,7 +7,7 @@ from conftest import two_regime_dataset
 from mlme.cli import main
 from mlme.dataset import Dataset
 from mlme.inference import AnnealConfig, predict_dataset
-from mlme.model_io import load_model, save_model
+from mlme.model_io import atomic_write_text, load_model, save_model
 from mlme.mixture import TrainConfig, grow_mixture
 
 
@@ -72,6 +72,53 @@ class TestTrainPredict:
         assert err.startswith("mlme: error[schema]")
         assert "\n" not in err.strip()
 
+    @pytest.mark.parametrize("case, code", [
+        ("model-without-experts", "schema"),
+        ("model-header-disagrees", "schema"),
+        ("model-truncated", "schema"),
+        ("model-scale-zero", "schema"),
+        ("cell-nan", "parse"),
+        ("cell-inf", "parse"),
+        ("cell-abc", "parse"),
+        ("arff-label-2", "label"),
+        ("binary-data", "io"),
+    ])
+    def test_malformed_input_is_one_error_line(self, tmp_path, toy_csv, capsys,
+                                               case, code):
+        model_path = tmp_path / "model.json"
+        run(["train", "--data", toy_csv, "--labels", 2, "--out", model_path,
+             "--max-experts", 1, "--lambda", 0.5])
+        doc = json.loads(model_path.read_text())
+        data = tmp_path / "feats.csv"
+        data.write_text("0.5,1.0\n0.25,-1.0\n")
+        args = ["predict", "--model", model_path, "--data", data]
+        if case == "model-without-experts":
+            del doc["experts"]
+            model_path.write_text(json.dumps(doc))
+        elif case == "model-header-disagrees":
+            doc["k"] = 2
+            model_path.write_text(json.dumps(doc))
+        elif case == "model-scale-zero":
+            doc["standardizer"]["scale"][0] = 0.0
+            model_path.write_text(json.dumps(doc))
+        elif case == "model-truncated":
+            model_path.write_text(model_path.read_text()[:200])
+        elif case.startswith("cell-"):
+            data.write_text(f"0.5,1.0\n0.25,{case[5:]}\n")
+        elif case == "binary-data":
+            data.write_bytes(b"\xff\xfe\x00\x01")
+        else:
+            data = tmp_path / "bad.arff"
+            data.write_text("@relation t\n@attribute f1 numeric\n"
+                            "@attribute L1 numeric\n@data\n0.5,2\n")
+            args = ["train", "--data", data, "--arff", "--label-names", "L1"]
+        capsys.readouterr()
+        assert run(args + ["--out", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"mlme: error[{code}]")
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+
     def test_missing_file_reports_io_error(self, tmp_path, capsys):
         rc = run(["predict", "--model", tmp_path / "nope.json",
                   "--data", tmp_path / "nope.csv", "--out", tmp_path / "p.csv"])
@@ -122,6 +169,15 @@ class TestDeterminism:
         path2 = tmp_path / "m2.json"
         save_model(loaded, path2)
         assert path.read_bytes() == path2.read_bytes()
+
+
+def test_atomic_write_failure_keeps_target_and_no_temp(tmp_path):
+    target = tmp_path / "out.txt"
+    atomic_write_text(target, "old\n")
+    with pytest.raises(UnicodeEncodeError):
+        atomic_write_text(target, "\ud800")  # a lone surrogate cannot be encoded
+    assert target.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
 
 class TestEvaluateAndCv:

@@ -3,7 +3,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import expert_dataset, random_expert, random_x
+from conftest import expert_dataset, random_expert, random_structure, random_x
 from mlme.ctbn import (
     CtbnExpert,
     TreeStructure,
@@ -11,11 +11,12 @@ from mlme.ctbn import (
     joint_log_prob,
     log_likelihoods,
     train_parameters,
+    tree_log_prob,
 )
 from mlme.dataset import Dataset
 from mlme.errors import ArgumentError
 from mlme.inference import all_label_vectors
-from mlme.logreg import LinearModel, train_weighted
+from mlme.logreg import LinearModel, log_sigmoid, train_weighted
 
 
 def logit(p):
@@ -27,6 +28,52 @@ def brute_force_map(expert, x):
     scores = np.array([joint_log_prob(expert, x, y) for y in Y])
     idx = int(np.argmax(scores))
     return Y[idx], scores[idx]
+
+
+def loop_tree_log_prob(z, parent, y):
+    """Reference: log P(y | x) as a plain loop over nodes in node order."""
+    total = 0.0
+    for i, p in enumerate(parent):
+        zi = z[i, 0 if p is None else y[p]]
+        total += float(log_sigmoid(zi if y[i] == 1 else -zi))
+    return total
+
+
+def assert_same_bits(got, want):
+    # == alone treats -0.0 and 0.0 as equal; the sign shows in printed output
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestTreeLogProb:
+    @pytest.mark.parametrize("d", [1, 6, 20])
+    @pytest.mark.parametrize("shape", ["roots", "chain", "mixed"])
+    def test_matches_node_loop_exactly(self, d, shape):
+        rng = np.random.default_rng(d)
+        K, N = 3, 40
+        make = {"roots": lambda: TreeStructure((None,) * d),
+                "chain": lambda: TreeStructure((None, *range(d - 1))),
+                "mixed": lambda: random_structure(rng, d)}[shape]
+        structures = [make() for _ in range(K)]
+        parents = np.stack([s.parent_index for s in structures])
+        logits = rng.normal(size=(K, d, 2)) * rng.choice([1.0, 30.0], size=(K, d, 2))
+        # expert 0 saturates: every term is -0.0 or about -800
+        logits[0] = rng.choice([-800.0, 800.0], size=(d, 2))
+        Y = rng.integers(0, 2, size=(N, d)).astype(np.int8)
+        want = np.array([[loop_tree_log_prob(logits[k], structures[k].parent, y)
+                          for k in range(K)] for y in Y])
+
+        # N label vectors against K stacked experts
+        got = tree_log_prob(logits, parents, Y)
+        assert got.shape == (N, K)
+        assert_same_bits(got, want)
+        for n in range(N):  # one label vector against K experts
+            assert_same_bits(tree_log_prob(logits, parents, Y[n]), want[n])
+        for k, s in enumerate(structures):  # per-row logits, one expert
+            rows = np.broadcast_to(logits[k], (N, d, 2))
+            assert_same_bits(tree_log_prob(rows, s.parent_index, Y), want[:, k])
+            assert_same_bits(tree_log_prob(logits[k], s.parent_index, Y[0]),
+                             want[0, k])
 
 
 class TestTreeStructure:

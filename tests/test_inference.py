@@ -67,6 +67,17 @@ class TestHeuristicInit:
                 cand, _ = exact_map(expert, x)
                 assert chosen >= mixture_log_prob(model, x, cand) - 1e-12
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_row_rejected(self, bad):
+        rng = np.random.default_rng(15)
+        model = random_mixture(rng, k=2, d=4, m=2)
+        x = random_x(rng, 2)
+        x[1] = bad
+        with pytest.raises(ArgumentError):
+            heuristic_init(model, x)
+        with pytest.raises(ArgumentError):
+            map_predict(model, x)
+
 
 class TestMapPredict:
     def test_k1_exactly_matches_tree_map(self):

@@ -5,8 +5,8 @@ from mlme.errors import ArgumentError
 from mlme.logreg import (
     LinearModel,
     OptimizerConfig,
+    logistic_log_prob,
     objective_and_gradient,
-    predict_log_prob,
     predict_prob,
     select_lambda,
     train_weighted,
@@ -41,13 +41,6 @@ class TestPredictProb:
         x = np.array([1.0, 0.0])
         p = predict_prob(model, x)
         assert 0.0 <= p <= 1e-300
-        lp = predict_log_prob(model, x, 1)
-        assert np.isfinite(lp)
-        assert abs(lp - (-1000.0)) < 1e-9
-        # the log path stays finite out to |params . x| = 1e6
-        extreme = LinearModel(np.array([1e6, 0.0]), 0.0)
-        for t in (0, 1):
-            assert np.isfinite(predict_log_prob(extreme, x, t))
 
     def test_strictly_inside_unit_interval_moderate(self):
         rng = np.random.default_rng(0)
@@ -55,6 +48,27 @@ class TestPredictProb:
             model = LinearModel(rng.normal(scale=5, size=3), 0.0)
             p = predict_prob(model, np.concatenate([[1.0], rng.normal(size=2)]))
             assert 0.0 < p < 1.0
+
+
+class TestLogisticLogProb:
+    def test_saturation_no_nan(self):
+        lp = logistic_log_prob(-1000.0, 1)
+        assert np.isfinite(lp)
+        assert abs(lp - (-1000.0)) < 1e-9
+        # the log path stays finite out to |z| = 1e6
+        for t in (0, 1):
+            assert np.isfinite(logistic_log_prob(1e6, t))
+            assert np.isfinite(logistic_log_prob(-1e6, t))
+
+    def test_consistent_with_predict_prob(self):
+        rng = np.random.default_rng(1)
+        for _ in range(50):
+            model = LinearModel(rng.normal(scale=5, size=3), 0.0)
+            x = np.concatenate([[1.0], rng.normal(size=2)])
+            z = model.params @ x
+            p1, p0 = np.exp(logistic_log_prob(z, 1)), np.exp(logistic_log_prob(z, 0))
+            assert abs(p1 - predict_prob(model, x)) < 1e-15
+            assert abs(p0 + p1 - 1.0) < 1e-15
 
 
 class TestObjective:
