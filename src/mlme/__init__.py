@@ -5,7 +5,6 @@ from .dataset import (
     Dataset,
     Instance,
     Standardizer,
-    WeightVector,
     holdout_split,
     load_arff,
     load_csv,
@@ -58,7 +57,6 @@ __all__ = [
     "Standardizer",
     "TrainConfig",
     "TreeStructure",
-    "WeightVector",
     "WeightedDigraph",
     "binary_relevance_baseline",
     "build_graph",

@@ -141,17 +141,16 @@ class CtbnExpert:
         return self.param_table() @ np.asarray(x, dtype=np.float64)
 
 
-def tree_log_prob(logits: np.ndarray, parent_index: np.ndarray,
-                  Y: np.ndarray) -> np.ndarray:
-    """log P(y | x) = sum_i log P(y_i | x, y_parent(i)) for every (y, expert).
+def tree_terms(logits: np.ndarray, parent_index: np.ndarray,
+               Y: np.ndarray) -> np.ndarray:
+    """Per-node terms log P(y_i | x, y_parent(i)) for every (y, expert).
 
     ``Y`` is (..., d) binary and ``parent_index`` is (d,) or (K, d) as in
     TreeStructure.parent_index; the result has shape Y.shape[:-1] +
-    parent_index.shape[:-1].  ``logits`` holds z[i, v], the logit of node i
+    parent_index.shape.  ``logits`` holds z[i, v], the logit of node i
     given parent label v (param_table times x), and must broadcast to
     Y.shape[:-1] + parent_index.shape + (2,).  Roots read a padded label
-    column that is always 0, so they take branch 0.  Terms are summed in
-    node order starting from 0.0, bit-identical to a scalar loop over nodes.
+    column that is always 0, so they take branch 0.
     """
     Y = np.asarray(Y)
     d = Y.shape[-1]
@@ -160,7 +159,19 @@ def tree_log_prob(logits: np.ndarray, parent_index: np.ndarray,
     branch = padded[..., parent_index]
     z = np.where(branch == 1, logits[..., 1], logits[..., 0])
     own = Y.reshape(Y.shape[:-1] + (1,) * (parent_index.ndim - 1) + (d,))
-    return 0.0 + np.cumsum(logistic_log_prob(z, own), axis=-1)[..., -1]
+    return logistic_log_prob(z, own)
+
+
+def tree_log_prob(logits: np.ndarray, parent_index: np.ndarray,
+                  Y: np.ndarray) -> np.ndarray:
+    """log P(y | x) = sum_i log P(y_i | x, y_parent(i)) for every (y, expert).
+
+    Arguments are as in tree_terms; the result has shape Y.shape[:-1] +
+    parent_index.shape[:-1].  Terms are summed in node order starting from
+    0.0, bit-identical to a scalar loop over nodes.
+    """
+    terms = tree_terms(logits, parent_index, Y)
+    return 0.0 + np.cumsum(terms, axis=-1)[..., -1]
 
 
 def joint_log_prob(expert: CtbnExpert, x: np.ndarray, y: Sequence[int]) -> float:
@@ -188,8 +199,9 @@ def exact_map(expert: CtbnExpert, x: np.ndarray) -> tuple[np.ndarray, float]:
     arg-max label; one downward pass reads the assignment off.  Ties prefer
     label 0, so the result is a pure function of (expert, x).
     """
+    logits = expert.logit_table(x)
     # lp[i, v, u] = log P(y_i = u | x, parent = v)
-    lp = logistic_log_prob(expert.logit_table(x)[:, :, None], np.array([0, 1]))
+    lp = logistic_log_prob(logits[:, :, None], np.array([0, 1]))
     order = expert.structure.topological_order()
     ch = expert.structure.children()
     d = expert.d
@@ -216,7 +228,7 @@ def exact_map(expert: CtbnExpert, x: np.ndarray) -> tuple[np.ndarray, float]:
         p = expert.structure.parent[i]
         v = 0 if p is None else int(y[p])
         y[i] = choice[i, v]
-    return y, joint_log_prob(expert, x, y)
+    return y, float(tree_log_prob(logits, expert.structure.parent_index, y))
 
 
 def train_parameters(
@@ -230,10 +242,11 @@ def train_parameters(
     """Fit all CPDs of a fixed structure on instance-weighted data.
 
     Each child node trains one model per parent label value on the rows
-    where the parent takes that value; roots train on everything.  A branch
-    whose parent value never occurs ends up penalty-only (params stay 0).
-    Passing ``init`` warm-starts each fit from the same node's previous
-    parameters.
+    where the parent takes that value; roots train on everything.  The rows
+    for each (parent, value) are sliced once and shared by all of that
+    parent's children.  A branch whose parent value never occurs ends up
+    penalty-only (params stay 0).  Passing ``init`` warm-starts each fit
+    from the same node's previous parameters.
     """
     if structure.d != data.d:
         raise ArgumentError("structure size does not match dataset labels")
@@ -241,17 +254,20 @@ def train_parameters(
         raise ArgumentError("warm-start expert has a different structure")
     w = as_weight_array(w, data.n)
     X, Y = data.features, data.labels
-    cpds = []
-    for i, p in enumerate(structure.parent):
-        if p is None:
-            x0 = init.cpds[i][0].params if init is not None else None
-            cpds.append((train_weighted(X, Y[:, i], w, lam, cfg, x0=x0),))
+
+    def fit(i, v, Xs, Ys, ws):
+        x0 = init.cpds[i][v].params if init is not None else None
+        return train_weighted(Xs, Ys[:, i], ws, lam, cfg, x0=x0)
+
+    cpds: list[tuple[LinearModel, ...]] = [()] * structure.d
+    for i in structure.roots:
+        cpds[i] = (fit(i, 0, X, Y, w),)
+    for p, children in enumerate(structure.children()):
+        if not children:
             continue
-        branch = []
         for v in (0, 1):
             mask = Y[:, p] == v
-            x0 = init.cpds[i][v].params if init is not None else None
-            branch.append(
-                train_weighted(X[mask], Y[mask, i], w[mask], lam, cfg, x0=x0))
-        cpds.append(tuple(branch))
+            Xs, Ys, ws = X[mask], Y[mask], w[mask]
+            for i in children:
+                cpds[i] += (fit(i, v, Xs, Ys, ws),)
     return CtbnExpert(structure, tuple(cpds))

@@ -9,7 +9,7 @@ being special-cased in every model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -106,46 +106,37 @@ class Dataset:
                 fh.write(",".join(feats + labs) + "\n")
 
 
-@dataclass(frozen=True)
-class WeightVector:
-    """Nonnegative per-instance weights with positive total mass."""
-
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = np.array(self.weights, dtype=np.float64, order="C")
-        if w.ndim != 1:
-            raise ArgumentError("weights must be 1-D")
-        if not np.all(np.isfinite(w)) or np.any(w < 0):
-            raise ArgumentError("weights must be finite and nonnegative")
-        if w.sum() <= 0:
-            raise ArgumentError("weights must have positive sum")
-        w.flags.writeable = False
-        object.__setattr__(self, "weights", w)
-
-    @classmethod
-    def uniform(cls, n: int) -> "WeightVector":
-        return cls(np.full(n, 1.0 / n))
-
-    def __len__(self) -> int:
-        return len(self.weights)
-
-    def normalize(self) -> "WeightVector":
-        return WeightVector(self.weights / self.weights.sum())
-
-    def subset(self, indices: Sequence[int]) -> "WeightVector":
-        idx = np.asarray(indices, dtype=np.intp)
-        return WeightVector(self.weights[idx])
-
-
 def as_weight_array(w, n: int) -> np.ndarray:
-    """Accept a WeightVector or a plain array; validate length and sign."""
-    arr = w.weights if isinstance(w, WeightVector) else np.asarray(w, dtype=np.float64)
+    """Validate per-instance weights: length n, finite and nonnegative."""
+    arr = np.asarray(w, dtype=np.float64)
     if arr.shape != (n,):
         raise ArgumentError(f"weight vector has length {arr.shape}, expected ({n},)")
-    if np.any(arr < 0):
-        raise ArgumentError("weights must be nonnegative")
+    if not np.all(np.isfinite(arr)) or np.any(arr < 0):
+        raise ArgumentError("weights must be finite and nonnegative")
     return arr
+
+
+def _parse_float_rows(rows: Iterable[Sequence[str]]) -> np.ndarray:
+    """(N, c) float matrix of rows of string cells, numbered from 1.
+
+    An unparsable or non-finite cell raises DataParseError naming its row.
+    Rows are parsed as they are drawn, so an error the iterator raises for
+    a row comes before a parse error on any later row.
+    """
+    values = []
+    for parts in rows:
+        try:
+            values.append([float(p) for p in parts])
+        except ValueError:
+            bad = next(p for p in parts if not _is_float(p))
+            raise DataParseError(f"row {len(values) + 1}: could not parse "
+                                 f"value '{bad.strip()}'") from None
+    values = np.asarray(values)
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        r, c = bad[0]
+        raise DataParseError(f"row {r + 1}: non-finite value '{values[r, c]}'")
+    return values
 
 
 def read_csv_rows(path) -> np.ndarray:
@@ -155,33 +146,29 @@ def read_csv_rows(path) -> np.ndarray:
     from 1 over the remaining lines.  An unparsable or non-finite cell
     raises DataParseError naming its row.
     """
-    rows = []
-    n_cols = None
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if n_cols is None:
-                n_cols = len(parts)
-            elif len(parts) != n_cols:
-                raise SchemaError(f"row {len(rows) + 1}: expected {n_cols} "
-                                  f"columns, got {len(parts)}")
-            try:
-                rows.append([float(p) for p in parts])
-            except ValueError:
-                bad = next(p for p in parts if not _is_float(p))
-                raise DataParseError(f"row {len(rows) + 1}: could not parse "
-                                     f"value '{bad.strip()}'") from None
-    if not rows:
+        values = _parse_float_rows(_csv_cells(fh))
+    if not len(values):
         raise SchemaError(f"{path}: no data rows")
-    values = np.asarray(rows)
-    bad = np.argwhere(~np.isfinite(values))
-    if bad.size:
-        r, c = bad[0]
-        raise DataParseError(f"row {r + 1}: non-finite value '{values[r, c]}'")
     return values
+
+
+def _csv_cells(lines) -> Iterator[list[str]]:
+    """Cells of each data line; every row must have the first row's width."""
+    n_cols = None
+    row = 0
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split(",")
+        row += 1
+        if n_cols is None:
+            n_cols = len(parts)
+        elif len(parts) != n_cols:
+            raise SchemaError(f"row {row}: expected {n_cols} "
+                              f"columns, got {len(parts)}")
+        yield parts
 
 
 def load_csv(path, d: int) -> Dataset:
@@ -251,18 +238,14 @@ def load_arff(path, label_names: Sequence[str]) -> Dataset:
     feature_idx = [i for i in range(len(attrs)) if i not in set(label_idx)]
 
     n_cols = len(attrs)
-    feats = np.empty((len(data_rows), len(feature_idx)))
-    labs = np.empty((len(data_rows), len(label_idx)), dtype=np.int8)
     for r, parts in enumerate(data_rows):
         if len(parts) != n_cols:
             raise SchemaError(
                 f"row {r + 1}: expected {n_cols} columns, got {len(parts)}")
-        try:
-            for c, j in enumerate(feature_idx):
-                feats[r, c] = float(parts[j])
-        except ValueError:
-            raise DataParseError(
-                f"row {r + 1}: could not parse value '{parts[j]}'") from None
+    feats = _parse_float_rows([parts[j] for j in feature_idx]
+                             for parts in data_rows)
+    labs = np.empty((len(data_rows), len(label_idx)), dtype=np.int8)
+    for r, parts in enumerate(data_rows):
         for c, j in enumerate(label_idx):
             v = parts[j]
             if v in ("0", "1"):
@@ -330,8 +313,7 @@ def holdout_split(
     """Seeded disjoint split into (train, holdout) with weights carried along.
 
     The holdout size is round(ratio * N) clamped to [1, N-1].  Weights come
-    back as plain arrays because one side of a partition may carry zero
-    total mass, which the WeightVector invariant rules out.
+    back as plain arrays; one side of a partition may carry zero total mass.
     """
     if not 0.0 < ratio < 1.0:
         raise ArgumentError("holdout ratio must be in (0, 1)")

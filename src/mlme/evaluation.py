@@ -15,10 +15,11 @@ from typing import Optional
 
 import numpy as np
 
+from .ctbn import TreeStructure, train_parameters
 from .dataset import Dataset, Standardizer, split_folds
 from .errors import ArgumentError
 from .inference import AnnealConfig, predict_dataset
-from .logreg import DEFAULT_OPTIMIZER, OptimizerConfig, train_weighted
+from .logreg import DEFAULT_OPTIMIZER, OptimizerConfig
 from .mixture import (
     MixtureModel,
     TrainConfig,
@@ -96,10 +97,10 @@ def binary_relevance_baseline(
     """Predictions from d independent logistic regressions at threshold 0.5."""
     if (train.m, train.d) != (test.m, test.d):
         raise ArgumentError("train and test must share feature/label dims")
-    ones = np.ones(train.n)
+    expert = train_parameters(TreeStructure((None,) * train.d), train,
+                              np.ones(train.n), lam, cfg)
     preds = np.zeros((test.n, test.d), dtype=np.int8)
-    for i in range(train.d):
-        model = train_weighted(train.features, train.labels[:, i], ones, lam, cfg)
+    for i, (model,) in enumerate(expert.cpds):
         preds[:, i] = (test.features @ model.params > 0).astype(np.int8)
     return preds
 

@@ -14,15 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ctbn import TreeStructure
+from .ctbn import TreeStructure, train_parameters, tree_terms
 from .dataset import Dataset, as_weight_array, holdout_split
 from .errors import ArgumentError
-from .logreg import (
-    DEFAULT_OPTIMIZER,
-    OptimizerConfig,
-    logistic_log_prob,
-    train_weighted,
-)
+from .logreg import DEFAULT_OPTIMIZER, OptimizerConfig
 
 
 @dataclass(frozen=True)
@@ -57,18 +52,6 @@ class WeightedDigraph:
         return float(total)
 
 
-def _holdout_wcll(params, Xh, targets, wh, branch_sel=None, params_alt=None):
-    """Weighted log-likelihood of holdout targets under one or two models.
-
-    With ``branch_sel`` given, rows where it equals 1 are scored by
-    ``params_alt`` instead of ``params``.
-    """
-    z = Xh @ params
-    if branch_sel is not None:
-        z = np.where(branch_sel == 1, Xh @ params_alt, z)
-    return float(wh @ logistic_log_prob(z, targets))
-
-
 def build_graph(
     train: Dataset,
     train_w,
@@ -79,37 +62,34 @@ def build_graph(
 ) -> WeightedDigraph:
     """Score every parent option by weighted hold-out log-likelihood.
 
-    For each ordered pair (j, i) a two-branch conditional model of Y_i
-    given (X, Y_j) is trained on the training part (one logistic fit per
-    parent value); the edge weight is its weighted log-likelihood on the
-    holdout part.  Self weights use the unconditional model of Y_i.
-    The pairwise models are scoring devices only and are discarded.
+    For each label j a star expert (j a root and the parent of every other
+    label) is trained on the training part.  Its root CPD is the
+    unconditional model of Y_j and each child CPD is the two-branch model of
+    Y_i given (X, Y_j), so the weighted holdout sums of its per-node terms
+    are the self weight of j and the weights of every edge j -> i.  The
+    star experts are scoring devices only and are discarded.
     """
     if (train.m, train.d) != (holdout.m, holdout.d):
         raise ArgumentError("train and holdout must share feature/label dims")
     d = train.d
-    wtr = as_weight_array(train_w, train.n)
     wh = as_weight_array(holdout_w, holdout.n)
-    Xtr, Ytr = train.features, train.labels
     Xh, Yh = holdout.features, holdout.labels
 
     self_weight = np.zeros(d)
-    for i in range(d):
-        model = train_weighted(Xtr, Ytr[:, i], wtr, lam, cfg)
-        self_weight[i] = _holdout_wcll(model.params, Xh, Yh[:, i], wh)
-
     edge_weight = np.zeros((d, d))
     for j in range(d):
-        mask0 = Ytr[:, j] == 0
-        mask1 = ~mask0
-        sel = Yh[:, j]
-        for i in range(d):
-            if i == j:
-                continue
-            m0 = train_weighted(Xtr[mask0], Ytr[mask0, i], wtr[mask0], lam, cfg)
-            m1 = train_weighted(Xtr[mask1], Ytr[mask1, i], wtr[mask1], lam, cfg)
-            edge_weight[j, i] = _holdout_wcll(
-                m0.params, Xh, Yh[:, i], wh, branch_sel=sel, params_alt=m1.params)
+        star = TreeStructure(tuple(None if i == j else j for i in range(d)))
+        expert = train_parameters(star, train, train_w, lam, cfg)
+        # One matrix-vector product per CPD and one dot product per node:
+        # batched products sum in another order and move the last bits.
+        logits = np.stack([np.stack([Xh @ models[0].params,
+                                     Xh @ models[-1].params], axis=-1)
+                           for models in expert.cpds], axis=1)
+        terms = tree_terms(logits, star.parent_index, Yh)
+        scores = np.array([wh @ t for t in np.ascontiguousarray(terms.T)])
+        self_weight[j] = scores[j]
+        edge_weight[j] = scores
+        edge_weight[j, j] = 0.0
     return WeightedDigraph(edge_weight, self_weight)
 
 

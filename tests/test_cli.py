@@ -81,6 +81,8 @@ class TestTrainPredict:
         ("cell-inf", "parse"),
         ("cell-abc", "parse"),
         ("arff-label-2", "label"),
+        ("arff-cell-nan", "parse"),
+        ("arff-cell-inf", "parse"),
         ("binary-data", "io"),
     ])
     def test_malformed_input_is_one_error_line(self, tmp_path, toy_csv, capsys,
@@ -108,14 +110,18 @@ class TestTrainPredict:
         elif case == "binary-data":
             data.write_bytes(b"\xff\xfe\x00\x01")
         else:
+            bad_row = {"arff-label-2": "0.5,2", "arff-cell-nan": "nan,1",
+                       "arff-cell-inf": "-inf,0"}[case]
             data = tmp_path / "bad.arff"
             data.write_text("@relation t\n@attribute f1 numeric\n"
-                            "@attribute L1 numeric\n@data\n0.5,2\n")
+                            f"@attribute L1 numeric\n@data\n0.5,1\n{bad_row}\n")
             args = ["train", "--data", data, "--arff", "--label-names", "L1"]
         capsys.readouterr()
         assert run(args + ["--out", tmp_path / "out"]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"mlme: error[{code}]")
+        if code == "parse":
+            assert "row 2" in err
         assert len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
 

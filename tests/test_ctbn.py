@@ -12,6 +12,7 @@ from mlme.ctbn import (
     log_likelihoods,
     train_parameters,
     tree_log_prob,
+    tree_terms,
 )
 from mlme.dataset import Dataset
 from mlme.errors import ArgumentError
@@ -37,6 +38,15 @@ def loop_tree_log_prob(z, parent, y):
         zi = z[i, 0 if p is None else y[p]]
         total += float(log_sigmoid(zi if y[i] == 1 else -zi))
     return total
+
+
+def loop_tree_terms(z, parent, y):
+    """Reference: each node's term log P(y_i | x, y_parent(i)), one at a time."""
+    terms = []
+    for i, p in enumerate(parent):
+        zi = z[i, 0 if p is None else y[p]]
+        terms.append(float(log_sigmoid(zi if y[i] == 1 else -zi)))
+    return terms
 
 
 def assert_same_bits(got, want):
@@ -74,6 +84,12 @@ class TestTreeLogProb:
             assert_same_bits(tree_log_prob(rows, s.parent_index, Y), want[:, k])
             assert_same_bits(tree_log_prob(logits[k], s.parent_index, Y[0]),
                              want[0, k])
+
+        # the per-node terms the sum is made of, (N, K, d) and (K, d)
+        want_terms = np.array([[loop_tree_terms(logits[k], structures[k].parent, y)
+                                for k in range(K)] for y in Y])
+        assert_same_bits(tree_terms(logits, parents, Y), want_terms)
+        assert_same_bits(tree_terms(logits, parents, Y[0]), want_terms[0])
 
 
 class TestTreeStructure:
@@ -219,6 +235,24 @@ class TestTrainParameters:
         for ca, cb in zip(a.cpds, b.cpds):
             for ma, mb in zip(ca, cb):
                 np.testing.assert_allclose(ma.params, mb.params, atol=1e-6)
+
+    @pytest.mark.parametrize("parent", [(None, 0, 0, 0), (3, 3, 3, None)])
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_shared_parent_children_equal_masked_fits(self, parent, warm):
+        # every child of one parent is fit on that parent's shared row slice
+        rng = np.random.default_rng(7)
+        data, _ = expert_dataset(rng, n=80, d=4, m=3)
+        X, Y = data.features, data.labels
+        w = rng.random(80) + 0.1
+        structure = TreeStructure(parent)
+        init = random_expert(rng, 4, 3, structure=structure) if warm else None
+        expert = train_parameters(structure, data, w, lam=0.4, init=init)
+        for i, p in enumerate(parent):
+            for v, model in enumerate(expert.cpds[i]):
+                rows = np.ones(80, dtype=bool) if p is None else Y[:, p] == v
+                x0 = init.cpds[i][v].params if warm else None
+                direct = train_weighted(X[rows], Y[rows, i], w[rows], 0.4, x0=x0)
+                assert np.array_equal(model.params, direct.params)
 
     def test_traversal_order_does_not_change_joint(self):
         # two structures identical up to node relabeling of evaluation order

@@ -4,7 +4,7 @@ import pytest
 from mlme.dataset import (
     Dataset,
     Standardizer,
-    WeightVector,
+    as_weight_array,
     holdout_split,
     load_arff,
     load_csv,
@@ -172,19 +172,11 @@ class TestHoldoutSplit:
         assert np.all(wtr == wtr[0]) and np.all(who == who[0])
 
 
-class TestWeightVector:
-    def test_normalize_preserves_ratios(self):
-        w = WeightVector(np.array([1.0, 2.0, 4.0]))
-        n = w.normalize()
-        assert abs(n.weights.sum() - 1.0) < 1e-12
-        assert abs(n.weights[1] / n.weights[0] - 2.0) < 1e-12
-        assert abs(n.weights[2] / n.weights[1] - 2.0) < 1e-12
-
-    def test_rejects_negative_and_zero_sum(self):
+class TestAsWeightArray:
+    @pytest.mark.parametrize("bad", [-0.1, np.nan, np.inf])
+    def test_rejects_negative_and_non_finite(self, bad):
         with pytest.raises(ArgumentError):
-            WeightVector(np.array([1.0, -0.1]))
-        with pytest.raises(ArgumentError):
-            WeightVector(np.zeros(3))
+            as_weight_array(np.array([1.0, bad]), 2)
 
 
 class TestDatasetValidation:

@@ -4,7 +4,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-import mlme.structlearn as structlearn
+import mlme.ctbn as ctbn
 from conftest import expert_dataset
 from mlme.ctbn import TreeStructure
 from mlme.dataset import Dataset, holdout_split
@@ -147,13 +147,13 @@ class TestBuildGraph:
 
     def test_pair_model_count_d3(self, monkeypatch):
         calls = [0]
-        original = structlearn.train_weighted
+        original = ctbn.train_weighted
 
         def counting(*args, **kwargs):
             calls[0] += 1
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(structlearn, "train_weighted", counting)
+        monkeypatch.setattr(ctbn, "train_weighted", counting)
         rng = np.random.default_rng(7)
         train, _ = expert_dataset(rng, n=20, d=3, m=2)
         g = build_graph(train, np.ones(20), train, np.ones(20), lam=0.5)
