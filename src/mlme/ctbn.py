@@ -71,6 +71,24 @@ class TreeStructure:
         index.flags.writeable = False
         return index
 
+    @cached_property
+    def levels(self) -> tuple[np.ndarray, ...]:
+        """Nodes grouped by depth, roots first, for max_sum.
+
+        Within a depth, nodes are in reverse topological order, so max_sum
+        adds each parent's child messages in the order of a node-by-node
+        pass over reversed(topological_order()).
+        """
+        depth = [0] * self.d
+        levels: list[list[int]] = [[] for _ in range(self.d)]
+        order = self.topological_order()
+        for i in order:
+            p = self.parent[i]
+            depth[i] = 0 if p is None else depth[p] + 1
+        for i in reversed(order):
+            levels[depth[i]].append(i)
+        return tuple(np.array(nodes, dtype=np.intp) for nodes in levels if nodes)
+
     def children(self) -> list[list[int]]:
         ch: list[list[int]] = [[] for _ in range(self.d)]
         for i, p in enumerate(self.parent):
@@ -167,11 +185,27 @@ def tree_log_prob(logits: np.ndarray, parent_index: np.ndarray,
     """log P(y | x) = sum_i log P(y_i | x, y_parent(i)) for every (y, expert).
 
     Arguments are as in tree_terms; the result has shape Y.shape[:-1] +
-    parent_index.shape[:-1].  Terms are summed in node order starting from
-    0.0, bit-identical to a scalar loop over nodes.
+    parent_index.shape[:-1].
     """
-    terms = tree_terms(logits, parent_index, Y)
+    return node_order_sum(tree_terms(logits, parent_index, Y))
+
+
+def node_order_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum per-node terms over the last axis in node order, starting from 0.0.
+
+    Bit-identical to a scalar loop over nodes, including the sign of an
+    all-zero sum.
+    """
     return 0.0 + np.cumsum(terms, axis=-1)[..., -1]
+
+
+def node_term_table(logits: np.ndarray) -> np.ndarray:
+    """(..., d, 2, 2) table t[..., i, v, u] = log P(y_i = u | x, parent = v).
+
+    ``logits`` is (..., d, 2) as from logit_table; every entry equals the
+    term tree_terms computes for that (v, u), bit for bit.
+    """
+    return logistic_log_prob(logits[..., None], np.array([0, 1]))
 
 
 def joint_log_prob(expert: CtbnExpert, x: np.ndarray, y: Sequence[int]) -> float:
@@ -191,43 +225,41 @@ def log_likelihoods(expert: CtbnExpert, data: Dataset) -> np.ndarray:
     return tree_log_prob(Z, expert.structure.parent_index, data.labels)
 
 
-def exact_map(expert: CtbnExpert, x: np.ndarray) -> tuple[np.ndarray, float]:
-    """Exact MAP assignment via max-sum over the forest.
+def max_sum(table: np.ndarray, structure: TreeStructure) -> np.ndarray:
+    """(N, d) int8 exact MAP label rows of one tree for N node-term tables.
 
-    One upward pass (children before parents) computes, for each node and
-    each possible parent value, the best achievable subtree score and the
-    arg-max label; one downward pass reads the assignment off.  Ties prefer
-    label 0, so the result is a pure function of (expert, x).
+    ``table`` is (N, d, 2, 2) as from node_term_table.  One upward pass
+    (children before parents) computes, for each node and each possible
+    parent value, the best achievable subtree score and the arg-max label;
+    one downward pass reads the assignment off.  Both passes take all nodes
+    of one depth at a time.  Ties prefer label 0, so each row is a pure
+    function of its table.
     """
+    n, d = table.shape[0], structure.d
+    parent = structure.parent_index            # roots point at d
+    levels = structure.levels
+    # child_sum[:, i, u] = sum of children's best-score messages given y_i = u;
+    # row d collects the roots' messages and is never read
+    child_sum = np.zeros((n, d + 1, 2))
+    choice = np.zeros((n, d, 2), dtype=bool)  # arg-max label of i given v
+    for nodes in reversed(levels):
+        s = table[:, nodes] + child_sum[:, nodes, None, :]   # s[:, node, v, u]
+        pick = s[..., 1] > s[..., 0]
+        choice[:, nodes] = pick
+        np.add.at(child_sum, (slice(None), parent[nodes]),
+                  np.where(pick, s[..., 1], s[..., 0]))
+
+    y = np.zeros((n, d + 1), dtype=np.int8)    # column d: roots' parent value 0
+    for nodes in levels:
+        y[:, nodes] = np.where(y[:, parent[nodes]] == 1,
+                               choice[:, nodes, 1], choice[:, nodes, 0])
+    return y[:, :d]
+
+
+def exact_map(expert: CtbnExpert, x: np.ndarray) -> tuple[np.ndarray, float]:
+    """Exact MAP assignment of one tree via max-sum, with its log-probability."""
     logits = expert.logit_table(x)
-    # lp[i, v, u] = log P(y_i = u | x, parent = v)
-    lp = logistic_log_prob(logits[:, :, None], np.array([0, 1]))
-    order = expert.structure.topological_order()
-    ch = expert.structure.children()
-    d = expert.d
-
-    # child_sum[i, u] = sum of children's best-score messages given y_i = u
-    child_sum = np.zeros((d, 2))
-    best = np.zeros((d, 2))    # best subtree score of i given parent value v
-    choice = np.zeros((d, 2), dtype=np.int8)  # arg-max label of i given v
-
-    for i in reversed(order):
-        for v in (0, 1):
-            s0 = lp[i, v, 0] + child_sum[i, 0]
-            s1 = lp[i, v, 1] + child_sum[i, 1]
-            u = 1 if s1 > s0 else 0
-            best[i, v] = s1 if u else s0
-            choice[i, v] = u
-        p = expert.structure.parent[i]
-        if p is not None:
-            child_sum[p, 0] += best[i, 0]
-            child_sum[p, 1] += best[i, 1]
-
-    y = np.zeros(d, dtype=np.int8)
-    for i in order:
-        p = expert.structure.parent[i]
-        v = 0 if p is None else int(y[p])
-        y[i] = choice[i, v]
+    y = max_sum(node_term_table(logits)[None], expert.structure)[0]
     return y, float(tree_log_prob(logits, expert.structure.parent_index, y))
 
 

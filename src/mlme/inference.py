@@ -11,14 +11,13 @@ test oracle for small label counts.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import ctbn
 from .errors import ArgumentError, GuardError
-from .mixture import MixtureModel, gating_log_probs
+from .mixture import MixtureModel, gating_log_probs, logsumexp
 
 ENUMERATION_GUARD = 20  # enumerate_map refuses label spaces beyond 2^20
 
@@ -51,35 +50,100 @@ class AnnealConfig:
 
 
 class _MixtureScorer:
-    """Per-input scoring tables: O(K d) label-vector evaluations after setup."""
+    """Node-term tables and log-gates of one feature row or a batch of rows.
 
-    def __init__(self, model: MixtureModel, x: np.ndarray):
-        x = np.asarray(x, dtype=np.float64)
-        if not np.all(np.isfinite(x)):
+    Built once per call; after that, the mixture log-probability of one
+    label vector per row is one gather, a node-order sum and a log-sum-exp.
+    """
+
+    def __init__(self, model: MixtureModel, x: np.ndarray, batch: bool = False):
+        X = np.asarray(x, dtype=np.float64)
+        width = model.n_features
+        if X.ndim != (2 if batch else 1):
+            want = "an (N, m+1) feature matrix" if batch else "one feature vector"
+            raise ArgumentError(f"expected {want}, got shape {X.shape}")
+        if X.shape[-1] != width:
+            raise ArgumentError(
+                f"feature rows must have m+1 = {width} entries, got {X.shape[-1]}")
+        if not np.all(np.isfinite(X)):
             raise ArgumentError("feature vector must be finite")
-        self.parent_index = np.stack(
-            [e.structure.parent_index for e in model.experts])  # (K, d)
-        self.logits = np.stack([e.logit_table(x) for e in model.experts])
-        self.log_gate = gating_log_probs(model.gating, x)
-
-    def expert_scores(self, y: np.ndarray) -> np.ndarray:
-        return ctbn.tree_log_prob(self.logits, self.parent_index, y)
-
-    def logp(self, y: np.ndarray) -> float:
-        return float(logsumexp(self.log_gate + self.expert_scores(y)))
+        X = X.reshape(-1, width)
+        n, k, d = X.shape[0], model.k, model.d
+        self.structures = [e.structure for e in model.experts]
+        self.parent_index = np.stack([s.parent_index for s in self.structures])
+        # one product per row (and expert): a batched X @ theta.T rounds
+        # some entries differently from the single-row products
+        logits = np.empty((n, k, d, 2))
+        self.log_gate = np.empty((n, k))
+        for r, row in enumerate(X):
+            self.log_gate[r] = gating_log_probs(model.gating, row)
+            for j, expert in enumerate(model.experts):
+                logits[r, j] = expert.logit_table(row)
+        self.table = ctbn.node_term_table(logits)          # (n, k, d, 2, 2)
+        self._flat = self.table.reshape(-1)
+        self._base = 4 * np.arange(n * k * d).reshape(n, k, d)
 
     def logp_batch(self, Y: np.ndarray) -> np.ndarray:
-        """Mixture log-probability of every row of an (M, d) label matrix."""
-        comp = ctbn.tree_log_prob(self.logits, self.parent_index, Y)
-        return logsumexp(comp + self.log_gate, axis=1)
+        """Mixture log-probability of the label rows of an (M, d) matrix.
+
+        Row r is scored against feature row r; a single-vector scorer
+        scores every row against its one feature vector.
+        """
+        Y = np.asarray(Y)
+        padded = np.zeros(Y.shape[:-1] + (Y.shape[-1] + 1,), dtype=np.intp)
+        padded[..., :-1] = Y
+        branch = padded[..., self.parent_index]           # (M, k, d); roots 0
+        terms = self._flat.take(self._base + 2 * branch + padded[..., None, :-1])
+        return logsumexp(self.log_gate + ctbn.node_order_sum(terms), axis=-1)
+
+    def logp(self, y: np.ndarray) -> float:
+        return float(self.logp_batch(np.asarray(y)[None])[0])
+
+    def start(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's best per-expert exact MAP assignment and its log-prob.
+
+        Candidates are scored by the mixture; ties go to the first expert.
+        """
+        candidates = [ctbn.max_sum(self.table[:, j], s)
+                      for j, s in enumerate(self.structures)]
+        scores = np.stack([self.logp_batch(y) for y in candidates], axis=1)
+        pick = np.argmax(scores, axis=1)   # first max, as a strict > scan
+        rows = np.arange(len(pick))
+        return np.stack(candidates, axis=1)[rows, pick], scores[rows, pick]
+
+
+def _anneal(scorer: _MixtureScorer, cfg: AnnealConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Anneal every row of the scorer's batch in lockstep from its start state.
+
+    Row r draws from its own default_rng(cfg.seed + r) in the order a lone
+    row would: one integers(d) per step, and random() only when the
+    proposal is no better than the current state.  Scores are a pure
+    function of the state, so each row's stream, and its result, do not
+    depend on the rest of the batch.
+    """
+    current, cur_lp = scorer.start()
+    n, d = current.shape
+    best, best_lp = current.copy(), cur_lp.copy()
+    rngs = [np.random.default_rng(cfg.seed + r) for r in range(n)]
+    rows = np.arange(n)
+    temperature = cfg.initial_temperature
+    for _ in range(cfg.iterations):
+        proposal = current.copy()
+        proposal[rows, [rng.integers(d) for rng in rngs]] ^= 1
+        lp = scorer.logp_batch(proposal)
+        better = lp > best_lp
+        best[better], best_lp[better] = proposal[better], lp[better]
+        accept = np.array(
+            [delta > 0 or rng.random() < np.exp(delta / temperature)
+             for delta, rng in zip((lp - cur_lp).tolist(), rngs)], dtype=bool)
+        current[accept], cur_lp[accept] = proposal[accept], lp[accept]
+        temperature *= cfg.cooling_rate
+    return best, best_lp
 
 
 def heuristic_init(model: MixtureModel, x: np.ndarray) -> np.ndarray:
     """Best of the per-expert exact MAP assignments, scored by the mixture."""
-    scorer = _MixtureScorer(model, x)
-    candidates = [ctbn.exact_map(expert, x)[0] for expert in model.experts]
-    scores = [scorer.logp(y) for y in candidates]
-    return candidates[int(np.argmax(scores))]  # first max, as a strict > scan
+    return _MixtureScorer(model, x).start()[0][0]
 
 
 def map_predict(
@@ -94,27 +158,8 @@ def map_predict(
     Returns the best state visited, so the answer is never worse than the
     initialization and is deterministic for a fixed seed.
     """
-    scorer = _MixtureScorer(model, x)
-    rng = np.random.default_rng(cfg.seed)
-    d = model.d
-
-    current = heuristic_init(model, x)
-    cur_lp = scorer.logp(current)
-    best, best_lp = current.copy(), cur_lp
-
-    temperature = cfg.initial_temperature
-    for _ in range(cfg.iterations):
-        flip = int(rng.integers(d))
-        proposal = current.copy()
-        proposal[flip] ^= 1
-        lp = scorer.logp(proposal)
-        if lp > best_lp:
-            best, best_lp = proposal.copy(), lp
-        delta = lp - cur_lp
-        if delta > 0 or rng.random() < np.exp(delta / temperature):
-            current, cur_lp = proposal, lp
-        temperature *= cfg.cooling_rate
-    return best, best_lp
+    best, best_lp = _anneal(_MixtureScorer(model, x), cfg)
+    return best[0], float(best_lp[0])
 
 
 def predict_dataset(
@@ -124,18 +169,11 @@ def predict_dataset(
 ) -> tuple[np.ndarray, np.ndarray]:
     """MAP-predict every row of an (N, m+1) feature matrix.
 
-    Row i is annealed with seed cfg.seed + i, so results are reproducible
-    and independent of batch order.
+    Rows are annealed together; row i gets exactly map_predict's answer
+    for seed cfg.seed + i, so results are reproducible and independent of
+    batch order.
     """
-    features = np.asarray(features, dtype=np.float64)
-    n = features.shape[0]
-    preds = np.empty((n, model.d), dtype=np.int8)
-    logps = np.empty(n)
-    for i in range(n):
-        y, lp = map_predict(model, features[i], replace(cfg, seed=cfg.seed + i))
-        preds[i] = y
-        logps[i] = lp
-    return preds, logps
+    return _anneal(_MixtureScorer(model, features, batch=True), cfg)
 
 
 def all_label_vectors(d: int) -> np.ndarray:

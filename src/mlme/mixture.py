@@ -13,7 +13,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.special import logsumexp
 
 from . import ctbn
 from .ctbn import CtbnExpert, TreeStructure, train_parameters
@@ -46,6 +45,24 @@ class GatingModel:
     @property
     def k(self) -> int:
         return self.theta.shape[0]
+
+
+def logsumexp(a, axis=None, keepdims=False):
+    """log(sum(exp(a))) over ``axis`` (all axes when None) of finite ``a``.
+
+    The maxima are taken out of the sum for precision:
+    log1p(sum_{a != max} exp(a - max) / m) + log(m) + max, where m counts
+    the entries equal to the maximum.  This is scipy.special.logsumexp's
+    formula for finite input, term for term, so results are bit-identical
+    to it.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    a_max = a.max(axis=axis, keepdims=True)
+    at_max = a == a_max
+    m = at_max.sum(axis=axis, keepdims=True, dtype=np.float64)
+    rest = np.exp(np.where(at_max, -np.inf, a) - a_max).sum(axis=axis, keepdims=True)
+    out = np.log1p(rest / m) + np.log(m) + a_max
+    return out if keepdims else out.squeeze(axis)[()]
 
 
 def gating_log_probs(gate: GatingModel, x: np.ndarray) -> np.ndarray:

@@ -10,6 +10,8 @@ from mlme.ctbn import (
     exact_map,
     joint_log_prob,
     log_likelihoods,
+    max_sum,
+    node_term_table,
     train_parameters,
     tree_log_prob,
     tree_terms,
@@ -206,6 +208,82 @@ class TestExactMap:
         t_small = best_time(40)
         t_big = best_time(80)
         assert t_big / t_small < 2.5
+
+
+def scalar_max_sum(table, structure):
+    """Node-by-node max-sum over one (d, 2, 2) node-term table, ties to 0."""
+    order = structure.topological_order()
+    child_sum = np.zeros((structure.d, 2))
+    choice = np.zeros((structure.d, 2), dtype=np.int8)
+    for i in reversed(order):
+        best = np.zeros(2)
+        for v in (0, 1):
+            s0 = table[i, v, 0] + child_sum[i, 0]
+            s1 = table[i, v, 1] + child_sum[i, 1]
+            choice[i, v] = s1 > s0
+            best[v] = s1 if s1 > s0 else s0
+        p = structure.parent[i]
+        if p is not None:
+            child_sum[p] += best
+    y = np.zeros(structure.d, dtype=np.int8)
+    for i in order:
+        p = structure.parent[i]
+        y[i] = choice[i, 0 if p is None else y[p]]
+    return y
+
+
+class TestMaxSum:
+    def test_rows_equal_scalar_reference(self):
+        # terms from a small set make sums tie up to the last bit, so the
+        # order in which a parent adds its children's messages shows
+        rng = np.random.default_rng(30)
+        for d in (1, 3, 8, 20):
+            for _ in range(20):
+                structure = random_structure(rng, d)
+                table = -rng.choice([0.1, 0.2, 0.3, 0.7], size=(50, d, 2, 2))
+                Y = max_sum(table, structure)
+                for t, y in zip(table, Y):
+                    np.testing.assert_array_equal(y, scalar_max_sum(t, structure))
+        star = TreeStructure((None,) + (0,) * 7)
+        table = -rng.choice([0.1, 0.2, 0.3, 0.7], size=(200, 8, 2, 2))
+        for t, y in zip(table, max_sum(table, star)):
+            np.testing.assert_array_equal(y, scalar_max_sum(t, star))
+
+    def test_rows_equal_exact_map(self):
+        rng = np.random.default_rng(31)
+        for d in (1, 2, 6, 20):
+            for _ in range(10):
+                expert = random_expert(rng, d=d, m=3)
+                X = np.stack([random_x(rng, 3) for _ in range(9)])
+                table = node_term_table(
+                    np.stack([expert.logit_table(x) for x in X]))
+                Y = max_sum(table, expert.structure)
+                assert Y.shape == (9, d) and Y.dtype == np.int8
+                for x, y in zip(X, Y):
+                    np.testing.assert_array_equal(y, exact_map(expert, x)[0])
+
+    def test_all_ties_prefer_zero(self):
+        structure = TreeStructure((None, 0, 1, 0, None))
+        cpds = tuple(
+            tuple(LinearModel(np.zeros(3), 0.0)
+                  for _ in range(1 if p is None else 2))
+            for p in structure.parent)
+        expert = CtbnExpert(structure, cpds)
+        X = np.random.default_rng(32).normal(size=(6, 3))
+        table = node_term_table(np.stack([expert.logit_table(x) for x in X]))
+        assert max_sum(table, structure).tolist() == [[0] * 5] * 6
+
+    def test_table_entries_equal_tree_terms(self):
+        rng = np.random.default_rng(33)
+        expert = random_expert(rng, d=6, m=2, scale=400.0)
+        logits = expert.logit_table(random_x(rng, 2))
+        table = node_term_table(logits)
+        for y in all_label_vectors(6):
+            terms = tree_terms(logits, expert.structure.parent_index, y)
+            padded = np.append(y, 0)
+            for i, p in enumerate(expert.structure.parent_index):
+                got = table[i, padded[p], y[i]]
+                assert got.tobytes() == terms[i].tobytes()
 
 
 class TestTrainParameters:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -228,3 +230,86 @@ class TestPredictDataset:
         tail_cfg = AnnealConfig(iterations=25, seed=3)
         tail, _ = predict_dataset(model, X[3:], tail_cfg)
         np.testing.assert_array_equal(full[3:], tail)
+
+
+def reference_predict(model, X, cfg):
+    """One row at a time: heuristic start, then single-bit-flip annealing."""
+    preds, logps = np.zeros((len(X), model.d), dtype=np.int8), np.zeros(len(X))
+    for i, x in enumerate(X):
+        scorer = _MixtureScorer(model, x)
+        candidates = [exact_map(expert, x)[0] for expert in model.experts]
+        current = candidates[int(np.argmax([scorer.logp(y) for y in candidates]))]
+        cur_lp = scorer.logp(current)
+        best, best_lp = current.copy(), cur_lp
+        rng = np.random.default_rng(cfg.seed + i)
+        temperature = cfg.initial_temperature
+        for _ in range(cfg.iterations):
+            proposal = current.copy()
+            proposal[int(rng.integers(model.d))] ^= 1
+            lp = scorer.logp(proposal)
+            if lp > best_lp:
+                best, best_lp = proposal.copy(), lp
+            delta = lp - cur_lp
+            if delta > 0 or rng.random() < np.exp(delta / temperature):
+                current, cur_lp = proposal, lp
+            temperature *= cfg.cooling_rate
+        preds[i], logps[i] = best, best_lp
+    return preds, logps
+
+
+class TestLockstepAnnealing:
+    # on flat models (small scale) the best visited state depends on the
+    # path, so a row whose random stream shifted ends up elsewhere
+    @pytest.mark.parametrize("scale", [0.1, 1.5])
+    @pytest.mark.parametrize("k,d", itertools.product((1, 2, 3), (1, 6, 20)))
+    def test_batch_equals_per_row_reference(self, k, d, scale):
+        rng = np.random.default_rng(100 * k + d)
+        model = random_mixture(rng, k=k, d=d, m=3, scale=scale)
+        for iterations, n in itertools.product((1, 25, 150), (1, 7, 20)):
+            X = np.hstack([np.ones((n, 1)), rng.normal(size=(n, 3))])
+            cfg = AnnealConfig(iterations=iterations, seed=int(rng.integers(1000)))
+            preds, logps = predict_dataset(model, X, cfg)
+            ref_preds, ref_logps = reference_predict(model, X, cfg)
+            assert preds.dtype == np.int8
+            np.testing.assert_array_equal(preds, ref_preds)
+            assert logps.tobytes() == ref_logps.tobytes()
+
+    def test_map_predict_is_the_one_row_case(self):
+        rng = np.random.default_rng(101)
+        model = random_mixture(rng, k=3, d=6, m=3)
+        X = np.hstack([np.ones((7, 1)), rng.normal(size=(7, 3))])
+        preds, logps = predict_dataset(model, X, AnnealConfig(seed=40))
+        for r in range(7):
+            y, lp = map_predict(model, X[r], AnnealConfig(seed=40 + r))
+            np.testing.assert_array_equal(y, preds[r])
+            assert np.float64(lp).tobytes() == logps[r].tobytes()
+
+
+class TestFeatureWidth:
+    @pytest.fixture
+    def model(self):
+        return random_mixture(np.random.default_rng(102), k=2, d=4, m=3)
+
+    @pytest.mark.parametrize("width", [3, 5])
+    def test_wrong_width_rejected(self, model, width):
+        x = np.ones(width)
+        for call in (lambda: predict_dataset(model, np.ones((4, width))),
+                     lambda: map_predict(model, x),
+                     lambda: heuristic_init(model, x),
+                     lambda: enumerate_map(model, x)):
+            with pytest.raises(ArgumentError, match=f"m\\+1 = 4.*got {width}"):
+                call()
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 3, 4)])
+    def test_predict_dataset_needs_a_matrix(self, model, shape):
+        with pytest.raises(ArgumentError, match="matrix"):
+            predict_dataset(model, np.ones(shape))
+
+    def test_single_row_functions_need_a_vector(self, model):
+        with pytest.raises(ArgumentError, match="vector"):
+            map_predict(model, np.ones((1, 4)))
+
+    def test_empty_batch(self, model):
+        preds, logps = predict_dataset(model, np.ones((0, 4)))
+        assert preds.shape == (0, 4) and preds.dtype == np.int8
+        assert logps.shape == (0,)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.special
 
 from conftest import (
     expert_dataset,
@@ -22,6 +23,7 @@ from mlme.mixture import (
     gate_objective_and_gradient,
     gating_probs,
     grow_mixture,
+    logsumexp,
     m_step_experts,
     m_step_gate,
     mixture_log_prob,
@@ -323,3 +325,33 @@ class TestGrowMixture:
         data = Dataset.from_raw(np.zeros((3, 1)), np.zeros((3, 1), dtype=int))
         with pytest.raises(ArgumentError):
             grow_mixture(data, TrainConfig(lam=0.5))
+
+
+class TestLogSumExp:
+    """The numpy log-sum-exp must reproduce scipy's bits, not just its value."""
+
+    @staticmethod
+    def assert_same_bits(a, **kw):
+        got, want = logsumexp(a, **kw), scipy.special.logsumexp(a, **kw)
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    def test_vectors_with_ties_and_wide_spreads(self):
+        rng = np.random.default_rng(41)
+        for trial in range(2000):
+            k = int(rng.integers(1, 10))
+            a = [rng.normal(size=k),                      # generic
+                 rng.integers(-2, 3, size=k).astype(float),  # many ties
+                 rng.normal(scale=400.0, size=k),         # terms underflow
+                 1e-9 * rng.normal(size=k)][trial % 4]    # near-equal
+            self.assert_same_bits(a)
+        self.assert_same_bits(np.full(5, -3.25))          # all tied
+        self.assert_same_bits(np.array([0.0, -1000.0]))   # one term left
+
+    @pytest.mark.parametrize("axis", [None, 0, 1, -1])
+    @pytest.mark.parametrize("keepdims", [False, True])
+    def test_axis_and_keepdims(self, axis, keepdims):
+        rng = np.random.default_rng(42)
+        for a in (rng.normal(size=(30, 3)), np.round(rng.normal(size=(7, 12))),
+                  rng.normal(scale=50.0, size=(4, 130))):
+            self.assert_same_bits(a, axis=axis, keepdims=keepdims)
