@@ -16,11 +16,24 @@ import numpy as np
 
 from .dataset import Dataset, Standardizer, load_arff, load_csv, read_csv_rows
 from .errors import ArgumentError, MlmeError, SchemaError
-from .evaluation import EvalReport, _aggregate, cross_validate, evaluate_model
+from .evaluation import EvalReport, cross_validate, evaluate_model
 from .inference import AnnealConfig, predict_dataset
-from .logreg import DEFAULT_LAMBDA_GRID, OptimizerConfig
+from .logreg import DEFAULT_LAMBDA_GRID
 from .mixture import TrainConfig, grow_mixture
 from .model_io import atomic_write_text, load_model, save_model
+
+
+def _float_list(text: str) -> tuple[float, ...]:
+    """argparse type of --lambda-grid.
+
+    It raises ArgumentError, which argparse lets through, so main reports
+    one error[argument] line and not argparse's usage text.
+    """
+    try:
+        return tuple(float(s) for s in text.split(",") if s)
+    except ValueError:
+        raise ArgumentError(f"--lambda-grid: not a comma-separated list of "
+                            f"numbers: {text!r}") from None
 
 
 def _add_data_args(p):
@@ -35,18 +48,27 @@ def _add_data_args(p):
 
 
 def _add_train_args(p):
-    p.add_argument("--max-experts", type=int, default=5)
-    p.add_argument("--lambda", dest="lam", type=float, default=None,
+    absent = argparse.SUPPRESS
+    p.add_argument("--max-experts", type=int, default=absent)
+    p.add_argument("--lambda", dest="lam", type=float, default=absent,
                    help="fixed L2 strength (skips grid selection)")
-    p.add_argument("--lambda-grid", default=None,
-                   help="comma-separated L2 grid (default 0.01,0.1,1,10)")
-    p.add_argument("--lambda-gate", type=float, default=None)
-    p.add_argument("--holdout-ratio", type=float, default=0.25)
-    p.add_argument("--internal-test-ratio", type=float, default=0.2)
-    p.add_argument("--em-max-iters", type=int, default=100)
-    p.add_argument("--em-tol", type=float, default=1e-5)
+    p.add_argument("--lambda-grid", type=_float_list, default=absent,
+                   help="comma-separated L2 grid (default "
+                        f"{','.join(f'{g:g}' for g in DEFAULT_LAMBDA_GRID)})")
+    p.add_argument("--lambda-gate", dest="lam_gate", metavar="LAMBDA_GATE",
+                   type=float, default=absent)
+    p.add_argument("--holdout-ratio", type=float, default=absent)
+    p.add_argument("--internal-test-ratio", type=float, default=absent)
+    p.add_argument("--em-max-iters", type=int, default=absent)
+    p.add_argument("--em-tol", type=float, default=absent)
     p.add_argument("--no-standardize", action="store_true",
                    help="disable per-feature z-scoring")
+
+
+def _add_anneal_args(p):
+    p.add_argument("--anneal-iters", dest="iterations", metavar="ANNEAL_ITERS",
+                   type=int, default=argparse.SUPPRESS)
+    p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -60,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_args(p)
     _add_train_args(p)
     p.add_argument("--out", required=True, help="output model file (JSON)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
 
     p = sub.add_parser("predict", help="MAP-predict labels for a data file")
     p.add_argument("--model", required=True)
@@ -68,8 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--arff", action="store_true")
     p.add_argument("--label-names", default=None)
     p.add_argument("--out", required=True, help="output prediction CSV")
-    p.add_argument("--anneal-iters", type=int, default=150)
-    p.add_argument("--seed", type=int, default=0)
+    _add_anneal_args(p)
     p.add_argument("--no-logprob", action="store_true",
                    help="omit the per-instance log-probability column")
 
@@ -77,47 +98,41 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     _add_data_args(p)
     p.add_argument("--out", required=True, help="output report JSON")
-    p.add_argument("--anneal-iters", type=int, default=150)
-    p.add_argument("--seed", type=int, default=0)
+    _add_anneal_args(p)
 
     p = sub.add_parser("cv", help="k-fold cross-validation from scratch")
     _add_data_args(p)
     _add_train_args(p)
     p.add_argument("--folds", type=int, default=10)
     p.add_argument("--out", required=True, help="output report JSON")
-    p.add_argument("--anneal-iters", type=int, default=150)
-    p.add_argument("--seed", type=int, default=0)
+    _add_anneal_args(p)
     return parser
+
+
+def _config(cls, args):
+    """``cls`` built from the parsed flags named after its fields.
+
+    Those flags default to argparse.SUPPRESS, so an absent flag leaves the
+    library default in force.
+    """
+    given = vars(args)
+    return cls(**{f.name: given[f.name] for f in dataclasses.fields(cls)
+                  if f.name in given})
+
+
+def _load_arff(args) -> Dataset:
+    if not args.label_names:
+        raise ArgumentError("--arff requires --label-names")
+    return load_arff(args.data, [s for s in args.label_names.split(",") if s])
 
 
 def _load_labeled(args, d_hint=None) -> Dataset:
     if args.arff:
-        if not args.label_names:
-            raise ArgumentError("--arff requires --label-names")
-        names = [s for s in args.label_names.split(",") if s]
-        return load_arff(args.data, names)
+        return _load_arff(args)
     d = args.labels if args.labels is not None else d_hint
     if d is None:
         raise ArgumentError("--labels is required for CSV data")
     return load_csv(args.data, d)
-
-
-def _train_config(args) -> TrainConfig:
-    grid = DEFAULT_LAMBDA_GRID
-    if args.lambda_grid:
-        grid = tuple(float(s) for s in args.lambda_grid.split(",") if s)
-    return TrainConfig(
-        max_experts=args.max_experts,
-        lam=args.lam,
-        lambda_grid=grid,
-        lam_gate=args.lambda_gate,
-        holdout_ratio=args.holdout_ratio,
-        internal_test_ratio=args.internal_test_ratio,
-        em_tol=args.em_tol,
-        em_max_iters=args.em_max_iters,
-        optimizer=OptimizerConfig(),
-        seed=args.seed,
-    )
 
 
 def cmd_train(args) -> int:
@@ -126,8 +141,7 @@ def cmd_train(args) -> int:
     if not args.no_standardize:
         scaler = Standardizer.fit(data)
         data = scaler.transform(data)
-    config = _train_config(args)
-    model = grow_mixture(data, config)
+    model = grow_mixture(data, _config(TrainConfig, args))
     save_model(model, args.out, scaler)
     log = {
         "accepted_k": model.k,
@@ -144,10 +158,7 @@ def _features_for_model(args, model) -> np.ndarray:
     """(N, m+1) biased feature matrix matching the model's dimensionality."""
     m, d = model.n_features - 1, model.d
     if args.arff:
-        if not args.label_names:
-            raise ArgumentError("--arff requires --label-names")
-        names = [s for s in args.label_names.split(",") if s]
-        data = load_arff(args.data, names)
+        data = _load_arff(args)
         if data.m != m:
             raise SchemaError(
                 f"model expects m={m} features but data has m={data.m}")
@@ -167,8 +178,7 @@ def cmd_predict(args) -> int:
     features = _features_for_model(args, model)
     if scaler is not None:
         features = scaler.transform_features(features)
-    cfg = AnnealConfig.for_iterations(args.anneal_iters, seed=args.seed)
-    preds, logps = predict_dataset(model, features, cfg)
+    preds, logps = predict_dataset(model, features, _config(AnnealConfig, args))
     lines = []
     for i in range(preds.shape[0]):
         cells = [str(int(v)) for v in preds[i]]
@@ -189,15 +199,15 @@ def cmd_evaluate(args) -> int:
             f"data (m={data.m}, d={data.d})")
     if scaler is not None:
         data = scaler.transform(data)
-    cfg = AnnealConfig.for_iterations(args.anneal_iters, seed=args.seed)
+    cfg = _config(AnnealConfig, args)
     start = time.perf_counter()
     fold = evaluate_model(model, data, cfg)
     fold = dataclasses.replace(fold, wall_time=time.perf_counter() - start)
-    report = EvalReport((fold,), _aggregate((fold,)), {
+    report = EvalReport((fold,), {
         "model": args.model,
         "data": args.data,
         "anneal_iterations": cfg.iterations,
-        "seed": args.seed,
+        "seed": cfg.seed,
         "lambda": model.meta.get("lambda"),
     })
     atomic_write_text(args.out, report.to_json() + "\n")
@@ -207,10 +217,9 @@ def cmd_evaluate(args) -> int:
 
 def cmd_cv(args) -> int:
     data = _load_labeled(args)
-    config = _train_config(args)
-    anneal = AnnealConfig.for_iterations(args.anneal_iters, seed=args.seed)
-    report = cross_validate(data, config, k=args.folds, seed=args.seed,
-                            anneal=anneal,
+    config = _config(TrainConfig, args)
+    report = cross_validate(data, config, k=args.folds, seed=config.seed,
+                            anneal=_config(AnnealConfig, args),
                             standardize=not args.no_standardize)
     atomic_write_text(args.out, report.to_json() + "\n")
     print(report.to_text_table())
@@ -226,9 +235,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except MlmeError as exc:
         print(f"mlme: error[{exc.code}] {exc}", file=sys.stderr)

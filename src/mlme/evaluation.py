@@ -123,14 +123,31 @@ class FoldResult:
 
 
 _AGG_FIELDS = ("ema", "cll_loss", "cll_per_instance", "micro_f1", "macro_f1",
-               "wall_time", "br_ema", "br_micro_f1", "br_macro_f1")
+               "wall_time", "accepted_k", "br_ema", "br_micro_f1", "br_macro_f1")
 
 
 @dataclass(frozen=True)
 class EvalReport:
     per_fold: tuple[FoldResult, ...]
-    aggregate: dict
     config: dict
+
+    @property
+    def aggregate(self) -> dict:
+        """Mean and sd (ddof=1, 0 for one fold) of each measure over the folds.
+
+        Measures missing from any fold are left out; ``cll_loss_total`` is
+        the summed loss of all folds.
+        """
+        agg = {}
+        for name in _AGG_FIELDS:
+            vals = [getattr(f, name) for f in self.per_fold]
+            if any(v is None for v in vals):
+                continue
+            arr = np.asarray(vals, dtype=np.float64)
+            sd = float(arr.std(ddof=1)) if len(arr) > 1 else 0.0
+            agg[name] = {"mean": float(arr.mean()), "sd": sd}
+        agg["cll_loss_total"] = float(np.sum([f.cll_loss for f in self.per_fold]))
+        return agg
 
     def to_dict(self) -> dict:
         return {
@@ -153,25 +170,6 @@ class EvalReport:
         lines.append("mean  " + "".join(f"{v:>14.4f}" for v in mean_row))
         lines.append("sd    " + "".join(f"{v:>14.4f}" for v in sd_row))
         return "\n".join(lines)
-
-
-def _aggregate(folds: tuple[FoldResult, ...]) -> dict:
-    agg = {}
-    for name in _AGG_FIELDS:
-        vals = [getattr(f, name) for f in folds]
-        if any(v is None for v in vals):
-            continue
-        arr = np.asarray(vals, dtype=np.float64)
-        sd = float(arr.std(ddof=1)) if len(arr) > 1 else 0.0
-        agg[name] = {"mean": float(arr.mean()), "sd": sd}
-    agg["accepted_k"] = {
-        "mean": float(np.mean([f.accepted_k for f in folds])),
-        "sd": float(np.std([f.accepted_k for f in folds], ddof=1))
-        if len(folds) > 1 else 0.0,
-    }
-    # both aggregations of the loss: mean of fold sums and the grand total
-    agg["cll_loss_total"] = float(np.sum([f.cll_loss for f in folds]))
-    return agg
 
 
 def evaluate_model(
@@ -242,8 +240,7 @@ def cross_validate(
         results.append(evaluate_model(model, test_t, fold_anneal,
                                       wall_time=elapsed,
                                       baseline_preds=baseline))
-    per_fold = tuple(results)
-    return EvalReport(per_fold, _aggregate(per_fold), {
+    return EvalReport(tuple(results), {
         "folds": k,
         "seed": seed,
         "standardize": standardize,

@@ -24,29 +24,19 @@ ENUMERATION_GUARD = 20  # enumerate_map refuses label spaces beyond 2^20
 
 @dataclass(frozen=True)
 class AnnealConfig:
-    """Annealing schedule; geometric cooling from initial_temperature."""
+    """Annealing schedule: geometric cooling from T=1 to T=1e-3."""
 
     iterations: int = 150
-    initial_temperature: float = 1.0
-    cooling_rate: float = 0.9549925860214359  # reaches ~1e-3 after 150 steps
     seed: int = 0
 
     def __post_init__(self):
         if self.iterations < 1:
             raise ArgumentError("iterations must be >= 1")
-        if self.initial_temperature <= 0:
-            raise ArgumentError("initial_temperature must be > 0")
-        if not 0.0 < self.cooling_rate < 1.0:
-            raise ArgumentError("cooling_rate must be in (0, 1)")
 
-    @classmethod
-    def for_iterations(cls, iterations: int, seed: int = 0,
-                       initial_temperature: float = 1.0,
-                       final_temperature: float = 1e-3) -> "AnnealConfig":
-        """Schedule whose temperature decays to ~final_temperature at the end."""
-        rate = (final_temperature / initial_temperature) ** (1.0 / max(iterations, 1))
-        return cls(iterations=iterations, initial_temperature=initial_temperature,
-                   cooling_rate=rate, seed=seed)
+    @property
+    def cooling_rate(self) -> float:
+        """Per-step temperature factor: ``iterations`` steps multiply to 1e-3."""
+        return 1e-3 ** (1 / self.iterations)
 
 
 class _MixtureScorer:
@@ -126,7 +116,7 @@ def _anneal(scorer: _MixtureScorer, cfg: AnnealConfig) -> tuple[np.ndarray, np.n
     best, best_lp = current.copy(), cur_lp.copy()
     rngs = [np.random.default_rng(cfg.seed + r) for r in range(n)]
     rows = np.arange(n)
-    temperature = cfg.initial_temperature
+    temperature, rate = 1.0, cfg.cooling_rate
     for _ in range(cfg.iterations):
         proposal = current.copy()
         proposal[rows, [rng.integers(d) for rng in rngs]] ^= 1
@@ -137,7 +127,7 @@ def _anneal(scorer: _MixtureScorer, cfg: AnnealConfig) -> tuple[np.ndarray, np.n
             [delta > 0 or rng.random() < np.exp(delta / temperature)
              for delta, rng in zip((lp - cur_lp).tolist(), rngs)], dtype=bool)
         current[accept], cur_lp[accept] = proposal[accept], lp[accept]
-        temperature *= cfg.cooling_rate
+        temperature *= rate
     return best, best_lp
 
 

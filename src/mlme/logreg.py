@@ -9,6 +9,7 @@ against finite differences in the test suite.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -36,6 +37,37 @@ DEFAULT_OPTIMIZER = OptimizerConfig()
 DEFAULT_LAMBDA_GRID = (0.01, 0.1, 1.0, 10.0)
 
 
+def check_finite_nonnegative(value, name: str) -> None:
+    """Raise ArgumentError naming ``name`` unless ``value`` is finite and >= 0."""
+    if not (math.isfinite(value) and value >= 0):
+        raise ArgumentError(f"{name} must be finite and >= 0, got {value}")
+
+
+def lbfgs_problem(objective, cfg: OptimizerConfig, what: str) -> dict:
+    """Keyword arguments for scipy's minimize that maximize ``objective``.
+
+    ``objective(params)`` returns (value, gradient); L-BFGS-B minimizes
+    their negation.  A non-finite value raises NumericError naming ``what``
+    and the evaluation count.
+    """
+    n_evals = 0
+
+    def neg(params):
+        nonlocal n_evals
+        n_evals += 1
+        value, grad = objective(params)
+        if not np.isfinite(value):
+            raise NumericError(f"non-finite {what} at evaluation {n_evals}")
+        return -value, -grad
+
+    return {"fun": neg, "jac": True, "method": "L-BFGS-B", "options": {
+        "maxiter": cfg.max_iterations,
+        "maxcor": cfg.memory,
+        "gtol": cfg.gradient_tolerance,
+        "ftol": 1e-14,
+    }}
+
+
 @dataclass(frozen=True)
 class LinearModel:
     """A trained logistic model: params (bias at index 0) plus its L2 strength."""
@@ -47,8 +79,7 @@ class LinearModel:
         p = np.array(self.params, dtype=np.float64, order="C")
         if p.ndim != 1 or not np.all(np.isfinite(p)):
             raise ArgumentError("params must be a finite 1-D vector")
-        if self.lam < 0:
-            raise ArgumentError("lambda must be >= 0")
+        check_finite_nonnegative(self.lam, "lambda")
         p.flags.writeable = False
         object.__setattr__(self, "params", p)
 
@@ -105,8 +136,7 @@ def train_weighted(
     X = np.asarray(X, dtype=np.float64)
     t = np.asarray(t, dtype=np.float64)
     w = as_weight_array(w, X.shape[0])
-    if lam < 0:
-        raise ArgumentError("lambda must be >= 0")
+    check_finite_nonnegative(lam, "lambda")
     if t.shape[0] != X.shape[0]:
         raise ArgumentError("target length does not match feature rows")
 
@@ -119,28 +149,8 @@ def train_weighted(
                       RuntimeWarning, stacklevel=2)
 
     start = np.zeros(X.shape[1]) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
-    n_evals = [0]
-
-    def neg(params):
-        n_evals[0] += 1
-        value, grad = objective_and_gradient(params, X, t, w, lam)
-        if not np.isfinite(value):
-            raise NumericError(
-                f"non-finite objective at evaluation {n_evals[0]}")
-        return -value, -grad
-
-    res = minimize(
-        neg,
-        start,
-        jac=True,
-        method="L-BFGS-B",
-        options={
-            "maxiter": cfg.max_iterations,
-            "maxcor": cfg.memory,
-            "gtol": cfg.gradient_tolerance,
-            "ftol": 1e-14,
-        },
-    )
+    res = minimize(x0=start, **lbfgs_problem(
+        lambda p: objective_and_gradient(p, X, t, w, lam), cfg, "objective"))
     return LinearModel(res.x, lam)
 
 
@@ -182,6 +192,8 @@ __all__ = [
     "OptimizerConfig",
     "DEFAULT_OPTIMIZER",
     "DEFAULT_LAMBDA_GRID",
+    "check_finite_nonnegative",
+    "lbfgs_problem",
     "log_sigmoid",
     "logistic_log_prob",
     "sigmoid",

@@ -8,7 +8,7 @@ data, with an internal validation split deciding when to stop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -17,11 +17,13 @@ from scipy.optimize import minimize
 from . import ctbn
 from .ctbn import CtbnExpert, TreeStructure, train_parameters
 from .dataset import Dataset, holdout_split
-from .errors import ArgumentError, EmMonotonicityError, NumericError
+from .errors import ArgumentError, EmMonotonicityError
 from .logreg import (
     DEFAULT_LAMBDA_GRID,
     DEFAULT_OPTIMIZER,
     OptimizerConfig,
+    check_finite_nonnegative,
+    lbfgs_problem,
     select_lambda,
 )
 from .structlearn import learn_structure
@@ -179,6 +181,7 @@ def m_step_gate(
     x0: Optional[GatingModel] = None,
 ) -> GatingModel:
     """Maximize the (concave) expected gate log-likelihood with L2 penalty."""
+    check_finite_nonnegative(lam_gate, "lambda_gate")
     h = np.asarray(h, dtype=np.float64)
     K = h.shape[1]
     p = data.features.shape[1]
@@ -189,27 +192,9 @@ def m_step_gate(
         return GatingModel(np.zeros((1, p)))
     start = np.zeros(K * p) if x0 is None else x0.theta.ravel().copy()
     X = data.features
-    n_evals = [0]
-
-    def neg(theta_flat):
-        n_evals[0] += 1
-        value, grad = gate_objective_and_gradient(theta_flat, X, h, lam_gate)
-        if not np.isfinite(value):
-            raise NumericError(f"non-finite gate objective at evaluation {n_evals[0]}")
-        return -value, -grad
-
-    res = minimize(
-        neg,
-        start,
-        jac=True,
-        method="L-BFGS-B",
-        options={
-            "maxiter": cfg.max_iterations,
-            "maxcor": cfg.memory,
-            "gtol": cfg.gradient_tolerance,
-            "ftol": 1e-14,
-        },
-    )
+    res = minimize(x0=start, **lbfgs_problem(
+        lambda theta: gate_objective_and_gradient(theta, X, h, lam_gate),
+        cfg, "gate objective"))
     return GatingModel(res.x.reshape(K, p))
 
 
@@ -253,24 +238,23 @@ class TrainConfig:
             raise ArgumentError("max_experts must be >= 1")
         if self.em_max_iters < 1:
             raise ArgumentError("em_max_iters must be >= 1")
+        for name in ("lam", "lam_gate"):
+            if getattr(self, name) is not None:
+                check_finite_nonnegative(getattr(self, name), name)
+        check_finite_nonnegative(self.em_tol, "em_tol")
+        if not self.lambda_grid:
+            raise ArgumentError("lambda_grid must be nonempty")
+        for lam in self.lambda_grid:
+            check_finite_nonnegative(lam, "every lambda_grid value")
+        for name in ("holdout_ratio", "internal_test_ratio"):
+            if not 0.0 < getattr(self, name) < 1.0:
+                raise ArgumentError(f"{name} must be in (0, 1)")
 
     def to_dict(self) -> dict:
-        return {
-            "max_experts": self.max_experts,
-            "lambda": self.lam,
-            "lambda_grid": list(self.lambda_grid),
-            "lambda_gate": self.lam_gate,
-            "holdout_ratio": self.holdout_ratio,
-            "internal_test_ratio": self.internal_test_ratio,
-            "em_tol": self.em_tol,
-            "em_max_iters": self.em_max_iters,
-            "optimizer": {
-                "max_iterations": self.optimizer.max_iterations,
-                "gradient_tolerance": self.optimizer.gradient_tolerance,
-                "memory": self.optimizer.memory,
-            },
-            "seed": self.seed,
-        }
+        doc = asdict(self)
+        doc["lambda"], doc["lambda_gate"] = doc.pop("lam"), doc.pop("lam_gate")
+        doc["lambda_grid"] = list(self.lambda_grid)
+        return doc
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,11 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from conftest import two_regime_dataset
-from mlme.cli import main
+from mlme.cli import _config, build_parser, main
 from mlme.dataset import Dataset
 from mlme.inference import AnnealConfig, predict_dataset
 from mlme.model_io import atomic_write_text, load_model, save_model
@@ -84,6 +85,13 @@ class TestTrainPredict:
         ("arff-cell-nan", "parse"),
         ("arff-cell-inf", "parse"),
         ("binary-data", "io"),
+        ("flag-lambda-grid-words", "argument"),
+        ("flag-lambda-grid-overflow", "argument"),
+        ("flag-lambda-inf", "argument"),
+        ("flag-lambda-nan", "argument"),
+        ("flag-lambda-gate-negative", "argument"),
+        ("flag-em-tol-nan", "argument"),
+        ("flag-holdout-ratio-one", "argument"),
     ])
     def test_malformed_input_is_one_error_line(self, tmp_path, toy_csv, capsys,
                                                case, code):
@@ -109,6 +117,15 @@ class TestTrainPredict:
             data.write_text(f"0.5,1.0\n0.25,{case[5:]}\n")
         elif case == "binary-data":
             data.write_bytes(b"\xff\xfe\x00\x01")
+        elif case.startswith("flag-"):
+            flag = {"flag-lambda-grid-words": ["--lambda-grid", "a,b"],
+                    "flag-lambda-grid-overflow": ["--lambda-grid", "1,1e400"],
+                    "flag-lambda-inf": ["--lambda", "inf"],
+                    "flag-lambda-nan": ["--lambda", "nan"],
+                    "flag-lambda-gate-negative": ["--lambda-gate", "-1"],
+                    "flag-em-tol-nan": ["--em-tol", "nan"],
+                    "flag-holdout-ratio-one": ["--holdout-ratio", "1"]}[case]
+            args = ["train", "--data", toy_csv, "--labels", 2] + flag
         else:
             bad_row = {"arff-label-2": "0.5,2", "arff-cell-nan": "nan,1",
                        "arff-cell-inf": "-inf,0"}[case]
@@ -117,13 +134,43 @@ class TestTrainPredict:
                             f"@attribute L1 numeric\n@data\n0.5,1\n{bad_row}\n")
             args = ["train", "--data", data, "--arff", "--label-names", "L1"]
         capsys.readouterr()
-        assert run(args + ["--out", tmp_path / "out"]) == 2
+        # pytest would swallow a RuntimeWarning line printed before the error
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(args + ["--out", tmp_path / "out"]) == 2
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         err = capsys.readouterr().err
         assert err.startswith(f"mlme: error[{code}]")
         if code == "parse":
             assert "row 2" in err
         assert len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--data", "d.csv", "--out", "m.json"],
+        ["cv", "--data", "d.csv", "--out", "r.json"],
+        ["predict", "--model", "m.json", "--data", "d.csv", "--out", "p.csv"],
+        ["evaluate", "--model", "m.json", "--data", "d.csv", "--out", "r.json"],
+    ])
+    def test_absent_flags_keep_library_defaults(self, argv):
+        args = build_parser().parse_args(argv)
+        if argv[0] in ("train", "cv"):
+            assert _config(TrainConfig, args) == TrainConfig(seed=0)
+        if argv[0] != "train":
+            assert _config(AnnealConfig, args) == AnnealConfig()
+
+    def test_every_flag_reaches_its_config_field(self):
+        args = build_parser().parse_args([
+            "cv", "--data", "d.csv", "--out", "r.json", "--max-experts", "3",
+            "--lambda", "0.5", "--lambda-grid", "0.1,,2", "--lambda-gate", "0.25",
+            "--holdout-ratio", "0.3", "--internal-test-ratio", "0.1",
+            "--em-max-iters", "7", "--em-tol", "1e-4", "--anneal-iters", "25",
+            "--seed", "4"])
+        assert _config(TrainConfig, args) == TrainConfig(
+            max_experts=3, lam=0.5, lambda_grid=(0.1, 2.0), lam_gate=0.25,
+            holdout_ratio=0.3, internal_test_ratio=0.1, em_max_iters=7,
+            em_tol=1e-4, seed=4)
+        assert _config(AnnealConfig, args) == AnnealConfig(iterations=25, seed=4)
 
     def test_missing_file_reports_io_error(self, tmp_path, capsys):
         rc = run(["predict", "--model", tmp_path / "nope.json",

@@ -8,6 +8,8 @@ from mlme.ctbn import CtbnExpert, TreeStructure, train_parameters
 from mlme.dataset import Dataset
 from mlme.errors import ArgumentError
 from mlme.evaluation import (
+    EvalReport,
+    FoldResult,
     binary_relevance_baseline,
     cll_loss,
     cross_validate,
@@ -219,6 +221,21 @@ class TestCrossValidate:
         assert doc["config"]["folds"] == 2
         table = report.to_text_table()
         assert "ema" in table and "mean" in table
+
+    def test_aggregate_is_derived_from_folds(self):
+        folds = tuple(
+            FoldResult(ema=0.5, cll_loss=loss, cll_per_instance=loss / 10,
+                       micro_f1=0.6, macro_f1=0.4, wall_time=1.0, accepted_k=k)
+            for k, loss in ((1, 3.0), (2, 4.5), (2, 7.25)))
+        agg = EvalReport(folds, {}).aggregate
+        ks = np.array([1.0, 2.0, 2.0])
+        assert agg["accepted_k"] == {"mean": ks.mean(), "sd": ks.std(ddof=1)}
+        assert agg["cll_loss"] == {"mean": np.mean([3.0, 4.5, 7.25]),
+                                   "sd": np.std([3.0, 4.5, 7.25], ddof=1)}
+        assert agg["cll_loss_total"] == 14.75
+        assert "br_ema" not in agg
+        one = EvalReport(folds[1:2], {}).aggregate
+        assert one["accepted_k"] == {"mean": 2.0, "sd": 0.0}
 
     def test_rejects_single_fold(self):
         with pytest.raises(ArgumentError):

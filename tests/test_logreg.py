@@ -182,6 +182,13 @@ class TestTrainWeighted:
         with pytest.raises(ArgumentError):
             train_weighted(np.ones((2, 1)), np.array([0.0, 1.0]), np.ones(2), -1.0)
 
+    @pytest.mark.parametrize("lam", [-1.0, np.nan, np.inf])
+    def test_rejects_non_finite_or_negative_lambda(self, lam):
+        with pytest.raises(ArgumentError, match="lambda must be finite"):
+            train_weighted(np.ones((2, 1)), np.array([0.0, 1.0]), np.ones(2), lam)
+        with pytest.raises(ArgumentError, match="lambda must be finite"):
+            LinearModel(np.zeros(2), lam)
+
 
 class TestSelectLambda:
     def test_picks_from_grid_deterministically(self):

@@ -198,6 +198,14 @@ class TestMStepGate:
             assert np.linalg.norm(G[j]) <= 1e-6
 
 
+    @pytest.mark.parametrize("lam_gate", [-1.0, np.nan, np.inf])
+    def test_rejects_non_finite_or_negative_lambda(self, lam_gate):
+        rng = np.random.default_rng(10)
+        data, _ = expert_dataset(rng, n=10, d=2, m=2)
+        with pytest.raises(ArgumentError, match="lambda_gate must be finite"):
+            m_step_gate(np.full((10, 2), 0.5), data, lam_gate)
+
+
 class TestMStepExperts:
     def test_k1_reduces_to_uniform_training(self):
         rng = np.random.default_rng(11)
@@ -272,6 +280,45 @@ class TestEmFit:
         data, _ = expert_dataset(rng, n=10, d=2, m=2)
         with pytest.raises(ArgumentError):
             em_fit([], data, TrainConfig(), lam=0.5)
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("lam", -1.0), ("lam", np.nan), ("lam", np.inf),
+        ("lam_gate", -0.5), ("lam_gate", np.nan),
+        ("lambda_grid", ()), ("lambda_grid", (0.1, np.inf)),
+        ("lambda_grid", (-1.0,)), ("lambda_grid", (np.nan,)),
+        ("holdout_ratio", 0.0), ("holdout_ratio", 1.0),
+        ("internal_test_ratio", 0.0), ("internal_test_ratio", 1.5),
+        ("internal_test_ratio", np.nan),
+        ("em_tol", np.nan), ("em_tol", -1e-5), ("em_tol", np.inf),
+    ])
+    def test_rejects_out_of_range_field(self, field, value):
+        with pytest.raises(ArgumentError):
+            TrainConfig(**{field: value})
+
+    def test_to_dict_names_and_values(self):
+        cfg = TrainConfig(max_experts=3, lam=0.5, lambda_grid=(0.1, 2.0),
+                          lam_gate=0.25, holdout_ratio=0.3,
+                          internal_test_ratio=0.1, em_tol=1e-4, em_max_iters=7,
+                          optimizer=OptimizerConfig(max_iterations=50,
+                                                    gradient_tolerance=1e-8,
+                                                    memory=5),
+                          seed=11)
+        assert cfg.to_dict() == {
+            "max_experts": 3,
+            "lambda": 0.5,
+            "lambda_grid": [0.1, 2.0],
+            "lambda_gate": 0.25,
+            "holdout_ratio": 0.3,
+            "internal_test_ratio": 0.1,
+            "em_tol": 1e-4,
+            "em_max_iters": 7,
+            "optimizer": {"max_iterations": 50, "gradient_tolerance": 1e-8,
+                          "memory": 5},
+            "seed": 11,
+        }
+        assert TrainConfig().to_dict()["lambda"] is None
 
 
 class TestGrowMixture:
