@@ -24,16 +24,15 @@ from .model_io import atomic_write_text, load_model, save_model
 
 
 def _float_list(text: str) -> tuple[float, ...]:
-    """argparse type of --lambda-grid.
+    """argparse type of --lambda-grid: comma-separated numbers."""
+    return tuple(float(s) for s in text.split(",") if s)
 
-    It raises ArgumentError, which argparse lets through, so main reports
-    one error[argument] line and not argparse's usage text.
-    """
-    try:
-        return tuple(float(s) for s in text.split(",") if s)
-    except ValueError:
-        raise ArgumentError(f"--lambda-grid: not a comma-separated list of "
-                            f"numbers: {text!r}") from None
+
+class _Parser(argparse.ArgumentParser):
+    """Raises ArgumentError on a usage error, so main reports one line."""
+
+    def error(self, message):
+        raise ArgumentError(message)
 
 
 def _add_data_args(p):
@@ -72,7 +71,7 @@ def _add_anneal_args(p):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mlme",
         description="Multi-label classification with mixtures of "
                     "tree-structured Bayesian network experts.")

@@ -217,12 +217,17 @@ def joint_log_prob(expert: CtbnExpert, x: np.ndarray, y: Sequence[int]) -> float
                                expert.structure.parent_index, y))
 
 
-def log_likelihoods(expert: CtbnExpert, data: Dataset) -> np.ndarray:
-    """(N,) joint conditional log-probability of every instance's labels."""
+def node_log_probs(expert: CtbnExpert, data: Dataset) -> np.ndarray:
+    """(N, d) per-node terms log P(y_i | x, y_parent(i)) of every instance."""
     if expert.d != data.d:
         raise ArgumentError("expert and dataset label counts differ")
     Z = np.einsum("ivp,np->niv", expert.param_table(), data.features)
-    return tree_log_prob(Z, expert.structure.parent_index, data.labels)
+    return tree_terms(Z, expert.structure.parent_index, data.labels)
+
+
+def log_likelihoods(expert: CtbnExpert, data: Dataset) -> np.ndarray:
+    """(N,) joint conditional log-probability of every instance's labels."""
+    return node_order_sum(node_log_probs(expert, data))
 
 
 def max_sum(table: np.ndarray, structure: TreeStructure) -> np.ndarray:

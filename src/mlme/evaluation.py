@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -119,11 +119,7 @@ class FoldResult:
     br_macro_f1: Optional[float] = None
 
     def to_dict(self) -> dict:
-        return {k: v for k, v in self.__dict__.items()}
-
-
-_AGG_FIELDS = ("ema", "cll_loss", "cll_per_instance", "micro_f1", "macro_f1",
-               "wall_time", "accepted_k", "br_ema", "br_micro_f1", "br_macro_f1")
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -139,7 +135,7 @@ class EvalReport:
         the summed loss of all folds.
         """
         agg = {}
-        for name in _AGG_FIELDS:
+        for name in (field.name for field in fields(FoldResult)):
             vals = [getattr(f, name) for f in self.per_fold]
             if any(v is None for v in vals):
                 continue
@@ -219,6 +215,8 @@ def cross_validate(
     """
     if k < 2:
         raise ArgumentError("cross-validation needs k >= 2")
+    if seed < 0:
+        raise ArgumentError("seed must be >= 0")
     folds = split_folds(data, k, seed)
     results = []
     for fold_idx, (train, test) in enumerate(folds):

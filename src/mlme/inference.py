@@ -32,6 +32,8 @@ class AnnealConfig:
     def __post_init__(self):
         if self.iterations < 1:
             raise ArgumentError("iterations must be >= 1")
+        if self.seed < 0:
+            raise ArgumentError("seed must be >= 0")
 
     @property
     def cooling_rate(self) -> float:

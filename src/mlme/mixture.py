@@ -249,6 +249,8 @@ class TrainConfig:
         for name in ("holdout_ratio", "internal_test_ratio"):
             if not 0.0 < getattr(self, name) < 1.0:
                 raise ArgumentError(f"{name} must be in (0, 1)")
+        if self.seed < 0:
+            raise ArgumentError("seed must be >= 0")
 
     def to_dict(self) -> dict:
         doc = asdict(self)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ctbn import TreeStructure, train_parameters, tree_terms
+from .ctbn import TreeStructure, node_log_probs, train_parameters
 from .dataset import Dataset, as_weight_array, holdout_split
 from .errors import ArgumentError
 from .logreg import DEFAULT_OPTIMIZER, OptimizerConfig
@@ -73,20 +73,13 @@ def build_graph(
         raise ArgumentError("train and holdout must share feature/label dims")
     d = train.d
     wh = as_weight_array(holdout_w, holdout.n)
-    Xh, Yh = holdout.features, holdout.labels
 
     self_weight = np.zeros(d)
     edge_weight = np.zeros((d, d))
     for j in range(d):
         star = TreeStructure(tuple(None if i == j else j for i in range(d)))
         expert = train_parameters(star, train, train_w, lam, cfg)
-        # One matrix-vector product per CPD and one dot product per node:
-        # batched products sum in another order and move the last bits.
-        logits = np.stack([np.stack([Xh @ models[0].params,
-                                     Xh @ models[-1].params], axis=-1)
-                           for models in expert.cpds], axis=1)
-        terms = tree_terms(logits, star.parent_index, Yh)
-        scores = np.array([wh @ t for t in np.ascontiguousarray(terms.T)])
+        scores = wh @ node_log_probs(expert, holdout)
         self_weight[j] = scores[j]
         edge_weight[j] = scores
         edge_weight[j, j] = 0.0
@@ -97,105 +90,69 @@ def maximum_branching(g: WeightedDigraph) -> TreeStructure:
     """Best forest under the graph's weights via Chu-Liu/Edmonds.
 
     The "no parent" option becomes an edge from a virtual root, so the
-    problem is a maximum spanning arborescence on d+1 nodes.  Ties prefer
-    the virtual root, then the smaller parent index, making the result
-    deterministic.
+    problem is a maximum spanning arborescence of the (d+1)-node score
+    matrix W[u, v] (row d is the root, missing edges are -inf).  Tie rule,
+    which makes the result a pure function of the weights:
+
+    - each node's best parent is the first maximum in the order root, 0,
+      1, ... (contracted nodes come after every original node);
+    - the cycle contracted is the first one met walking best-parent
+      pointers from node 0, 1, ... in turn;
+    - an edge leaving a contracted cycle comes from its lowest tying cycle
+      node, and an edge entering it goes to its lowest tying cycle node.
     """
     d = g.d
-    root = d
-    edges: dict[tuple[int, int], float] = {}
-    for i in range(d):
-        edges[(root, i)] = float(g.self_weight[i])
-        for j in range(d):
-            if j != i:
-                edges[(j, i)] = float(g.edge_weight[j, i])
-    nodes = set(range(d + 1))
-    parent_of = _max_arborescence(nodes, edges, root, next_id=d + 1)
-    return TreeStructure(tuple(
-        None if parent_of[i] == root else parent_of[i] for i in range(d)))
+    W = np.full((d + 1, d + 1), -np.inf)
+    W[:d, :d] = g.edge_weight
+    W[d, :d] = g.self_weight
+    np.fill_diagonal(W, -np.inf)
+    parent = _arborescence(W, root=d)
+    return TreeStructure(tuple(None if p == d else int(p) for p in parent[:d]))
 
 
-def _pick_best_incoming(nodes, edges, root):
-    """Best incoming edge per non-root node; prefers root then low index."""
-    best: dict[int, tuple[int, float]] = {}
-    for v in nodes:
-        if v == root:
-            continue
-        chosen = None
-        for u in sorted(nodes, key=lambda u: (u != root, u)):
-            w = edges.get((u, v))
-            if w is None:
-                continue
-            if chosen is None or w > chosen[1]:
-                chosen = (u, w)
-        if chosen is None:
-            raise ArgumentError(f"node {v} has no incoming edge")
-        best[v] = chosen
-    return best
+def _arborescence(W: np.ndarray, root: int) -> np.ndarray:
+    """Parent of each node in a maximum arborescence of W, by recursion.
 
-
-def _find_cycle(best, root):
-    """A cycle in the chosen-parent graph, or None."""
-    for start in best:
-        seen = []
-        seen_set = set()
-        v = start
-        while v != root and v in best:
-            if v in seen_set:
-                return seen[seen.index(v):]
-            seen.append(v)
-            seen_set.add(v)
-            v = best[v][0]
-    return None
-
-
-def _max_arborescence(nodes, edges, root, next_id):
-    """Recursive Chu-Liu/Edmonds on a dense edge dict (maximization)."""
-    best = _pick_best_incoming(nodes, edges, root)
-    cycle = _find_cycle(best, root)
+    A cycle of best parents becomes a new last node; its nodes' rows and
+    columns go to -inf, so they point at the root until the expansion
+    resets them.  The root's own entry is the root.
+    """
+    n = W.shape[0]
+    order = np.r_[root, np.delete(np.arange(n), root)]
+    best = order[np.argmax(W[order], axis=0)]
+    cycle = _first_cycle(best, root)
     if cycle is None:
-        return {v: u for v, (u, _) in best.items()}
-
-    cyc_set = set(cycle)
-    c = next_id
-    new_edges: dict[tuple[int, int], float] = {}
-    out_src: dict[int, int] = {}          # target v -> real source u for (c, v)
-    in_dst: dict[int, tuple[int, int]] = {}  # source u -> real (u, v in cycle)
-    for (u, v), w in sorted(edges.items()):
-        if u in cyc_set and v in cyc_set:
-            continue
-        if u in cyc_set:
-            key = (c, v)
-            if key not in new_edges or w > new_edges[key]:
-                new_edges[key] = w
-                out_src[v] = u
-        elif v in cyc_set:
-            adj = w - best[v][1]
-            key = (u, c)
-            if key not in new_edges or adj > new_edges[key]:
-                new_edges[key] = adj
-                in_dst[u] = (u, v)
-        else:
-            new_edges[(u, v)] = w
-
-    sub_nodes = (nodes - cyc_set) | {c}
-    sub = _max_arborescence(sub_nodes, new_edges, root, next_id + 1)
-
-    parent: dict[int, int] = {}
-    broken_entry = None
-    for v, u in sub.items():
-        if v == c:
-            broken_entry = in_dst[u]
-        elif u == c:
-            parent[v] = out_src[v]
-        else:
-            parent[v] = u
-    enter_u, enter_v = broken_entry
-    parent[enter_v] = enter_u
-    for v in cycle:
-        if v != enter_v:
-            parent[v] = best[v][0]
+        return best
+    cycle = np.sort(cycle)
+    c = n
+    src = cycle[np.argmax(W[cycle], axis=0)]       # leaving: v -> cycle source
+    entering = W[:, cycle] - W[best[cycle], cycle]
+    dst = cycle[np.argmax(entering, axis=1)]       # entering: u -> cycle target
+    sub = np.full((n + 1, n + 1), -np.inf)
+    sub[:n, :n] = W
+    sub[c, :n] = W[cycle].max(axis=0)
+    sub[:n, c] = entering.max(axis=1)
+    sub[cycle, :] = -np.inf
+    sub[:, cycle] = -np.inf
+    parent = _arborescence(sub, root)
+    u = parent[c]
+    parent = np.where(parent[:n] == c, src, parent[:n])
+    parent[cycle] = best[cycle]
+    parent[dst[u]] = u
     return parent
+
+
+def _first_cycle(best: np.ndarray, root: int) -> list[int] | None:
+    """Nodes of the first cycle met walking best parents from 0, 1, ..."""
+    for start in range(len(best)):
+        path: list[int] = []
+        v = start
+        while v != root and v not in path:
+            path.append(v)
+            v = int(best[v])
+        if v != root:
+            return path[path.index(v):]
+    return None
 
 
 def learn_structure(

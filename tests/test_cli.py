@@ -92,6 +92,13 @@ class TestTrainPredict:
         ("flag-lambda-gate-negative", "argument"),
         ("flag-em-tol-nan", "argument"),
         ("flag-holdout-ratio-one", "argument"),
+        ("flag-lambda-words", "argument"),
+        ("flag-unknown", "argument"),
+        ("flag-seed-negative", "argument"),
+        ("predict-anneal-iters-fraction", "argument"),
+        ("predict-seed-negative", "argument"),
+        ("train-without-data", "argument"),
+        ("no-subcommand", "argument"),
     ])
     def test_malformed_input_is_one_error_line(self, tmp_path, toy_csv, capsys,
                                                case, code):
@@ -124,8 +131,18 @@ class TestTrainPredict:
                     "flag-lambda-nan": ["--lambda", "nan"],
                     "flag-lambda-gate-negative": ["--lambda-gate", "-1"],
                     "flag-em-tol-nan": ["--em-tol", "nan"],
-                    "flag-holdout-ratio-one": ["--holdout-ratio", "1"]}[case]
+                    "flag-holdout-ratio-one": ["--holdout-ratio", "1"],
+                    "flag-lambda-words": ["--lambda", "abc"],
+                    "flag-unknown": ["--no-such-flag"],
+                    "flag-seed-negative": ["--seed", "-1"]}[case]
             args = ["train", "--data", toy_csv, "--labels", 2] + flag
+        elif case.startswith("predict-"):
+            args += {"predict-anneal-iters-fraction": ["--anneal-iters", "1.5"],
+                     "predict-seed-negative": ["--seed", "-1"]}[case]
+        elif case == "train-without-data":
+            args = ["train", "--labels", 2]
+        elif case == "no-subcommand":
+            args = []
         else:
             bad_row = {"arff-label-2": "0.5,2", "arff-cell-nan": "nan,1",
                        "arff-cell-inf": "-inf,0"}[case]
@@ -145,6 +162,13 @@ class TestTrainPredict:
             assert "row 2" in err
         assert len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [["-h"], ["train", "--help"]])
+    def test_help_still_exits_zero(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: mlme")
 
     @pytest.mark.parametrize("argv", [
         ["train", "--data", "d.csv", "--out", "m.json"],

@@ -93,6 +93,22 @@ class TestMaximumBranching:
             assert g.structure_score(s1) == pytest.approx(
                 brute_force_best_score(g), abs=1e-9)
 
+    def test_optimal_up_to_d20_by_networkx_oracle(self):
+        nx = pytest.importorskip("networkx")
+        rng = np.random.default_rng(12)
+        for trial in range(200):
+            d = int(rng.integers(7, 21))
+            g = random_graph(rng, d, integer=trial % 2 == 1)
+            full = nx.DiGraph()
+            for i in range(d):
+                full.add_edge(d, i, weight=g.self_weight[i])
+                full.add_edges_from((j, i, {"weight": g.edge_weight[j, i]})
+                                    for j in range(d) if j != i)
+            tree = nx.maximum_spanning_arborescence(full, preserve_attrs=True)
+            oracle = sum(w for _, _, w in tree.edges(data="weight"))
+            assert g.structure_score(maximum_branching(g)) == pytest.approx(
+                oracle, abs=1e-9)
+
     def test_no_parent_preferred_at_exact_tie(self):
         E = np.zeros((2, 2))
         S = np.zeros(2)
