@@ -20,13 +20,7 @@ from .evaluation import (
     micro_f1,
 )
 from .inference import AnnealConfig, enumerate_map, heuristic_init, map_predict
-from .logreg import (
-    LinearModel,
-    OptimizerConfig,
-    objective_and_gradient,
-    predict_prob,
-    train_weighted,
-)
+from .logreg import LinearModel, objective_and_gradient, predict_prob, train_weighted
 from .mixture import (
     GatingModel,
     MixtureModel,
@@ -53,7 +47,6 @@ __all__ = [
     "Instance",
     "LinearModel",
     "MixtureModel",
-    "OptimizerConfig",
     "Standardizer",
     "TrainConfig",
     "TreeStructure",

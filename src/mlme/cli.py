@@ -135,12 +135,13 @@ def _load_labeled(args, d_hint=None) -> Dataset:
 
 
 def cmd_train(args) -> int:
+    config = _config(TrainConfig, args)
     data = _load_labeled(args)
     scaler = None
     if not args.no_standardize:
         scaler = Standardizer.fit(data)
         data = scaler.transform(data)
-    model = grow_mixture(data, _config(TrainConfig, args))
+    model = grow_mixture(data, config)
     save_model(model, args.out, scaler)
     log = {
         "accepted_k": model.k,
@@ -173,11 +174,12 @@ def _features_for_model(args, model) -> np.ndarray:
 
 
 def cmd_predict(args) -> int:
+    cfg = _config(AnnealConfig, args)
     model, scaler = load_model(args.model)
     features = _features_for_model(args, model)
     if scaler is not None:
         features = scaler.transform_features(features)
-    preds, logps = predict_dataset(model, features, _config(AnnealConfig, args))
+    preds, logps = predict_dataset(model, features, cfg)
     lines = []
     for i in range(preds.shape[0]):
         cells = [str(int(v)) for v in preds[i]]
@@ -190,6 +192,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    cfg = _config(AnnealConfig, args)
     model, scaler = load_model(args.model)
     data = _load_labeled(args, d_hint=model.d)
     if data.m != model.n_features - 1 or data.d != model.d:
@@ -198,7 +201,6 @@ def cmd_evaluate(args) -> int:
             f"data (m={data.m}, d={data.d})")
     if scaler is not None:
         data = scaler.transform(data)
-    cfg = _config(AnnealConfig, args)
     start = time.perf_counter()
     fold = evaluate_model(model, data, cfg)
     fold = dataclasses.replace(fold, wall_time=time.perf_counter() - start)
@@ -215,10 +217,10 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_cv(args) -> int:
+    config, anneal = _config(TrainConfig, args), _config(AnnealConfig, args)
     data = _load_labeled(args)
-    config = _config(TrainConfig, args)
     report = cross_validate(data, config, k=args.folds, seed=config.seed,
-                            anneal=_config(AnnealConfig, args),
+                            anneal=anneal,
                             standardize=not args.no_standardize)
     atomic_write_text(args.out, report.to_json() + "\n")
     print(report.to_text_table())

@@ -17,13 +17,7 @@ import numpy as np
 
 from .dataset import Dataset, as_weight_array
 from .errors import ArgumentError
-from .logreg import (
-    DEFAULT_OPTIMIZER,
-    LinearModel,
-    OptimizerConfig,
-    logistic_log_prob,
-    train_weighted,
-)
+from .logreg import LinearModel, logistic_log_prob, train_weighted
 
 
 @dataclass(frozen=True)
@@ -273,7 +267,6 @@ def train_parameters(
     data: Dataset,
     w,
     lam: float,
-    cfg: OptimizerConfig = DEFAULT_OPTIMIZER,
     init: CtbnExpert | None = None,
 ) -> CtbnExpert:
     """Fit all CPDs of a fixed structure on instance-weighted data.
@@ -294,7 +287,7 @@ def train_parameters(
 
     def fit(i, v, Xs, Ys, ws):
         x0 = init.cpds[i][v].params if init is not None else None
-        return train_weighted(Xs, Ys[:, i], ws, lam, cfg, x0=x0)
+        return train_weighted(Xs, Ys[:, i], ws, lam, x0=x0)
 
     cpds: list[tuple[LinearModel, ...]] = [()] * structure.d
     for i in structure.roots:

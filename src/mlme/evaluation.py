@@ -19,7 +19,6 @@ from .ctbn import TreeStructure, train_parameters
 from .dataset import Dataset, Standardizer, split_folds
 from .errors import ArgumentError
 from .inference import AnnealConfig, predict_dataset
-from .logreg import DEFAULT_OPTIMIZER, OptimizerConfig
 from .mixture import (
     MixtureModel,
     TrainConfig,
@@ -88,17 +87,12 @@ def cll_loss(model: MixtureModel, test: Dataset) -> float:
     return float(-instance_log_probs(model, test).sum())
 
 
-def binary_relevance_baseline(
-    train: Dataset,
-    test: Dataset,
-    lam: float,
-    cfg: OptimizerConfig = DEFAULT_OPTIMIZER,
-) -> np.ndarray:
+def binary_relevance_baseline(train: Dataset, test: Dataset, lam: float) -> np.ndarray:
     """Predictions from d independent logistic regressions at threshold 0.5."""
     if (train.m, train.d) != (test.m, test.d):
         raise ArgumentError("train and test must share feature/label dims")
     expert = train_parameters(TreeStructure((None,) * train.d), train,
-                              np.ones(train.n), lam, cfg)
+                              np.ones(train.n), lam)
     preds = np.zeros((test.n, test.d), dtype=np.int8)
     for i, (model,) in enumerate(expert.cpds):
         preds[:, i] = (test.features @ model.params > 0).astype(np.int8)
@@ -233,8 +227,7 @@ def cross_validate(
         baseline = None
         if with_baseline:
             lam = model.meta.get("lambda", 1.0)
-            baseline = binary_relevance_baseline(train_t, test_t, lam,
-                                                 trainer.optimizer)
+            baseline = binary_relevance_baseline(train_t, test_t, lam)
         results.append(evaluate_model(model, test_t, fold_anneal,
                                       wall_time=elapsed,
                                       baseline_preds=baseline))

@@ -2,8 +2,8 @@
 
 This is the conditional-probability primitive for every tree node and the
 building block for structure scoring.  The bias (index 0) is never
-regularized.  Optimization uses a limited-memory quasi-Newton method behind
-``OptimizerConfig``; the objective/gradient pair is analytic and is checked
+regularized.  Optimization uses scipy's L-BFGS-B with the fixed settings in
+``LBFGS_OPTIONS``; the objective/gradient pair is analytic and is checked
 against finite differences in the test suite.
 """
 
@@ -20,20 +20,8 @@ from .dataset import Dataset, as_weight_array, split_folds
 from .errors import ArgumentError, NumericError
 
 
-@dataclass(frozen=True)
-class OptimizerConfig:
-    max_iterations: int = 500
-    gradient_tolerance: float = 1e-6
-    memory: int = 10
-
-    def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ArgumentError("max_iterations must be >= 1")
-        if self.gradient_tolerance <= 0:
-            raise ArgumentError("gradient_tolerance must be > 0")
-
-
-DEFAULT_OPTIMIZER = OptimizerConfig()
+# L-BFGS-B settings shared by every fit: CPDs, structure scoring and the gate
+LBFGS_OPTIONS = {"maxiter": 500, "maxcor": 10, "gtol": 1e-6, "ftol": 1e-14}
 DEFAULT_LAMBDA_GRID = (0.01, 0.1, 1.0, 10.0)
 
 
@@ -43,7 +31,7 @@ def check_finite_nonnegative(value, name: str) -> None:
         raise ArgumentError(f"{name} must be finite and >= 0, got {value}")
 
 
-def lbfgs_problem(objective, cfg: OptimizerConfig, what: str) -> dict:
+def lbfgs_problem(objective, what: str) -> dict:
     """Keyword arguments for scipy's minimize that maximize ``objective``.
 
     ``objective(params)`` returns (value, gradient); L-BFGS-B minimizes
@@ -60,12 +48,7 @@ def lbfgs_problem(objective, cfg: OptimizerConfig, what: str) -> dict:
             raise NumericError(f"non-finite {what} at evaluation {n_evals}")
         return -value, -grad
 
-    return {"fun": neg, "jac": True, "method": "L-BFGS-B", "options": {
-        "maxiter": cfg.max_iterations,
-        "maxcor": cfg.memory,
-        "gtol": cfg.gradient_tolerance,
-        "ftol": 1e-14,
-    }}
+    return {"fun": neg, "jac": True, "method": "L-BFGS-B", "options": LBFGS_OPTIONS}
 
 
 @dataclass(frozen=True)
@@ -124,7 +107,6 @@ def train_weighted(
     t: np.ndarray,
     w,
     lam: float,
-    cfg: OptimizerConfig = DEFAULT_OPTIMIZER,
     x0: np.ndarray | None = None,
 ) -> LinearModel:
     """Maximize the weighted, penalized log-likelihood over params.
@@ -150,18 +132,12 @@ def train_weighted(
 
     start = np.zeros(X.shape[1]) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
     res = minimize(x0=start, **lbfgs_problem(
-        lambda p: objective_and_gradient(p, X, t, w, lam), cfg, "objective"))
+        lambda p: objective_and_gradient(p, X, t, w, lam), "objective"))
     return LinearModel(res.x, lam)
 
 
-def select_lambda(
-    data: Dataset,
-    grid=DEFAULT_LAMBDA_GRID,
-    folds: int = 3,
-    seed: int = 0,
-    cfg: OptimizerConfig = DEFAULT_OPTIMIZER,
-) -> float:
-    """Pick one L2 strength by k-fold CV on per-label logistic regressions.
+def select_lambda(data: Dataset, grid=DEFAULT_LAMBDA_GRID, seed: int = 0) -> float:
+    """Pick one L2 strength by 3-fold CV on per-label logistic regressions.
 
     Scores each grid value by summed held-out log-likelihood across all d
     labels; ties go to the smaller (less trusting) lambda.
@@ -170,7 +146,7 @@ def select_lambda(
         raise ArgumentError("lambda grid must be nonempty")
     if len(grid) == 1:
         return float(grid[0])
-    n_folds = min(folds, data.n)
+    n_folds = min(3, data.n)
     if n_folds < 2:
         return float(sorted(grid)[0])
     scores = {float(g): 0.0 for g in grid}
@@ -179,7 +155,7 @@ def select_lambda(
         for lam in scores:
             for i in range(train.d):
                 model = train_weighted(train.features, train.labels[:, i],
-                                       ones, lam, cfg)
+                                       ones, lam)
                 lp = logistic_log_prob(test.features @ model.params,
                                        test.labels[:, i])
                 scores[lam] += float(lp.sum())
@@ -189,8 +165,7 @@ def select_lambda(
 
 __all__ = [
     "LinearModel",
-    "OptimizerConfig",
-    "DEFAULT_OPTIMIZER",
+    "LBFGS_OPTIONS",
     "DEFAULT_LAMBDA_GRID",
     "check_finite_nonnegative",
     "lbfgs_problem",

@@ -20,8 +20,6 @@ from .dataset import Dataset, holdout_split
 from .errors import ArgumentError, EmMonotonicityError
 from .logreg import (
     DEFAULT_LAMBDA_GRID,
-    DEFAULT_OPTIMIZER,
-    OptimizerConfig,
     check_finite_nonnegative,
     lbfgs_problem,
     select_lambda,
@@ -177,7 +175,6 @@ def m_step_gate(
     h: np.ndarray,
     data: Dataset,
     lam_gate: float,
-    cfg: OptimizerConfig = DEFAULT_OPTIMIZER,
     x0: Optional[GatingModel] = None,
 ) -> GatingModel:
     """Maximize the (concave) expected gate log-likelihood with L2 penalty."""
@@ -194,7 +191,7 @@ def m_step_gate(
     X = data.features
     res = minimize(x0=start, **lbfgs_problem(
         lambda theta: gate_objective_and_gradient(theta, X, h, lam_gate),
-        cfg, "gate objective"))
+        "gate objective"))
     return GatingModel(res.x.reshape(K, p))
 
 
@@ -203,7 +200,6 @@ def m_step_experts(
     data: Dataset,
     structures: Sequence[TreeStructure],
     lam: float,
-    cfg: OptimizerConfig = DEFAULT_OPTIMIZER,
     init: Optional[Sequence[CtbnExpert]] = None,
 ) -> tuple[CtbnExpert, ...]:
     """Refit every expert's CPDs with its responsibility column as weights."""
@@ -214,7 +210,7 @@ def m_step_experts(
     for k, structure in enumerate(structures):
         warm = init[k] if init is not None else None
         experts.append(
-            train_parameters(structure, data, h[:, k], lam, cfg, init=warm))
+            train_parameters(structure, data, h[:, k], lam, init=warm))
     return tuple(experts)
 
 
@@ -230,7 +226,6 @@ class TrainConfig:
     internal_test_ratio: float = 0.2         # growth stopping split
     em_tol: float = 1e-5                     # relative objective improvement
     em_max_iters: int = 100
-    optimizer: OptimizerConfig = DEFAULT_OPTIMIZER
     seed: int = 0
 
     def __post_init__(self):
@@ -275,8 +270,7 @@ def _resolve_lambdas(data, config, lam, lam_gate):
         lam = config.lam
     if lam is None:
         lam = select_lambda(data, config.lambda_grid,
-                            seed=_tagged_seed(config.seed, 0),
-                            cfg=config.optimizer)
+                            seed=_tagged_seed(config.seed, 0))
     if lam_gate is None:
         lam_gate = config.lam_gate if config.lam_gate is not None else lam
     return float(lam), float(lam_gate)
@@ -322,18 +316,16 @@ def em_fit(
             h0 /= h0.sum(axis=1, keepdims=True)
         warm_gate = init_model.gating if init_model is not None else None
         warm_experts = init_model.experts if init_model is not None else None
-        gate = m_step_gate(h0, data, lam_gate, config.optimizer, x0=warm_gate)
-        experts = m_step_experts(h0, data, structures, lam, config.optimizer,
-                                 init=warm_experts)
+        gate = m_step_gate(h0, data, lam_gate, x0=warm_gate)
+        experts = m_step_experts(h0, data, structures, lam, init=warm_experts)
         model = MixtureModel(experts, gate)
 
     obj = penalized_objective(model, data, lam_gate)
     trace = [obj]
     for _ in range(config.em_max_iters):
         h = e_step(model, data)
-        gate = m_step_gate(h, data, lam_gate, config.optimizer, x0=model.gating)
-        experts = m_step_experts(h, data, structures, lam, config.optimizer,
-                                 init=model.experts)
+        gate = m_step_gate(h, data, lam_gate, x0=model.gating)
+        experts = m_step_experts(h, data, structures, lam, init=model.experts)
         model = MixtureModel(experts, gate)
         new_obj = penalized_objective(model, data, lam_gate)
         if new_obj < obj - 1e-6:
@@ -375,7 +367,7 @@ def grow_mixture(data: Dataset, config: TrainConfig = TrainConfig()) -> MixtureM
     for k in range(1, config.max_experts + 1):
         structure = learn_structure(
             itr, omega, lam, config.holdout_ratio,
-            seed=_tagged_seed(config.seed, 3, k), cfg=config.optimizer)
+            seed=_tagged_seed(config.seed, 3, k))
         if current is None:
             init = None
             init_h = None
@@ -383,8 +375,7 @@ def grow_mixture(data: Dataset, config: TrainConfig = TrainConfig()) -> MixtureM
             # the new expert starts out owning the poorly-explained mass:
             # its responsibility column is the error margin, the previous
             # experts share the remainder in their current posterior ratios
-            new_expert = train_parameters(
-                structure, itr, omega * itr.n, lam, config.optimizer)
+            new_expert = train_parameters(structure, itr, omega * itr.n, lam)
             gate = GatingModel(np.vstack(
                 [current.gating.theta, np.zeros((1, data.features.shape[1]))]))
             init = MixtureModel(current.experts + (new_expert,), gate)

@@ -17,7 +17,6 @@ import numpy as np
 from .ctbn import TreeStructure, node_log_probs, train_parameters
 from .dataset import Dataset, as_weight_array, holdout_split
 from .errors import ArgumentError
-from .logreg import DEFAULT_OPTIMIZER, OptimizerConfig
 
 
 @dataclass(frozen=True)
@@ -58,7 +57,6 @@ def build_graph(
     holdout: Dataset,
     holdout_w,
     lam: float,
-    cfg: OptimizerConfig = DEFAULT_OPTIMIZER,
 ) -> WeightedDigraph:
     """Score every parent option by weighted hold-out log-likelihood.
 
@@ -78,7 +76,7 @@ def build_graph(
     edge_weight = np.zeros((d, d))
     for j in range(d):
         star = TreeStructure(tuple(None if i == j else j for i in range(d)))
-        expert = train_parameters(star, train, train_w, lam, cfg)
+        expert = train_parameters(star, train, train_w, lam)
         scores = wh @ node_log_probs(expert, holdout)
         self_weight[j] = scores[j]
         edge_weight[j] = scores
@@ -161,9 +159,8 @@ def learn_structure(
     lam: float,
     holdout_ratio: float = 0.25,
     seed: int = 0,
-    cfg: OptimizerConfig = DEFAULT_OPTIMIZER,
 ) -> TreeStructure:
     """Split, score every parent option on the holdout, take the best forest."""
     (train, train_w), (hold, hold_w) = holdout_split(data, w, holdout_ratio, seed)
-    graph = build_graph(train, train_w, hold, hold_w, lam, cfg)
+    graph = build_graph(train, train_w, hold, hold_w, lam)
     return maximum_branching(graph)

@@ -8,7 +8,13 @@ from conftest import two_regime_dataset
 from mlme.cli import _config, build_parser, main
 from mlme.dataset import Dataset
 from mlme.inference import AnnealConfig, predict_dataset
-from mlme.model_io import atomic_write_text, load_model, save_model
+from mlme.model_io import (
+    atomic_write_text,
+    load_model,
+    model_from_dict,
+    model_to_dict,
+    save_model,
+)
 from mlme.mixture import TrainConfig, grow_mixture
 
 
@@ -99,6 +105,10 @@ class TestTrainPredict:
         ("predict-seed-negative", "argument"),
         ("train-without-data", "argument"),
         ("no-subcommand", "argument"),
+        ("missing-data-train-seed-negative", "argument"),
+        ("missing-data-cv-lambda-nan", "argument"),
+        ("missing-model-predict-anneal-iters-zero", "argument"),
+        ("missing-model-evaluate-seed-negative", "argument"),
     ])
     def test_malformed_input_is_one_error_line(self, tmp_path, toy_csv, capsys,
                                                case, code):
@@ -139,6 +149,15 @@ class TestTrainPredict:
         elif case.startswith("predict-"):
             args += {"predict-anneal-iters-fraction": ["--anneal-iters", "1.5"],
                      "predict-seed-negative": ["--seed", "-1"]}[case]
+        elif case.startswith("missing-"):
+            # a bad flag is reported before any file is opened
+            gone = tmp_path / "missing.json"
+            args = {"train": ["train", "--data", gone, "--labels", 2, "--seed", "-1"],
+                    "cv": ["cv", "--data", gone, "--labels", 2, "--lambda", "nan"],
+                    "predict": ["predict", "--model", gone, "--data", gone,
+                                "--anneal-iters", "0"],
+                    "evaluate": ["evaluate", "--model", gone, "--data", gone,
+                                 "--seed", "-1"]}[case.split("-")[2]]
         elif case == "train-without-data":
             args = ["train", "--labels", 2]
         elif case == "no-subcommand":
@@ -246,6 +265,23 @@ class TestDeterminism:
         path2 = tmp_path / "m2.json"
         save_model(loaded, path2)
         assert path.read_bytes() == path2.read_bytes()
+
+    def test_model_with_optimizer_block_still_predicts(self):
+        # model files once carried the L-BFGS settings in meta.config
+        rng = np.random.default_rng(2)
+        data = two_regime_dataset(rng, n=60)
+        doc = model_to_dict(grow_mixture(data, TrainConfig(max_experts=2, lam=0.3,
+                                                           seed=4)))
+        old = json.loads(json.dumps(doc))
+        old["meta"]["config"]["optimizer"] = {
+            "max_iterations": 500, "gradient_tolerance": 1e-6, "memory": 10}
+        cfg = AnnealConfig(iterations=30, seed=6)
+        outputs = []
+        for d in (doc, old):
+            model, _ = model_from_dict(d)
+            preds, logps = predict_dataset(model, data.features, cfg)
+            outputs.append((preds.tobytes(), logps.tobytes()))
+        assert outputs[0] == outputs[1]
 
 
 def test_atomic_write_failure_keeps_target_and_no_temp(tmp_path):

@@ -4,7 +4,6 @@ import pytest
 from mlme.errors import ArgumentError
 from mlme.logreg import (
     LinearModel,
-    OptimizerConfig,
     logistic_log_prob,
     objective_and_gradient,
     predict_prob,
@@ -205,10 +204,3 @@ class TestSelectLambda:
         data = Dataset.from_raw(np.zeros((5, 1)), np.zeros((5, 1), dtype=int))
         assert select_lambda(data, (0.5,)) == 0.5
 
-
-class TestOptimizerConfig:
-    def test_validation(self):
-        with pytest.raises(ArgumentError):
-            OptimizerConfig(max_iterations=0)
-        with pytest.raises(ArgumentError):
-            OptimizerConfig(gradient_tolerance=0.0)

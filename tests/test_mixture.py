@@ -9,11 +9,12 @@ from conftest import (
     random_x,
     two_regime_dataset,
 )
+from mlme import logreg
 from mlme.ctbn import TreeStructure, joint_log_prob, train_parameters
 from mlme.dataset import Dataset
 from mlme.errors import ArgumentError
 from mlme.inference import all_label_vectors, _MixtureScorer
-from mlme.logreg import LinearModel, OptimizerConfig
+from mlme.logreg import LinearModel
 from mlme.mixture import (
     GatingModel,
     MixtureModel,
@@ -183,14 +184,15 @@ class TestMStepGate:
             worst = max(worst, np.linalg.norm(grad - fd) / denom)
         assert worst < 1e-4
 
-    def test_stationarity_at_convergence(self):
+    def test_stationarity_at_convergence(self, monkeypatch):
+        monkeypatch.setitem(logreg.LBFGS_OPTIONS, "gtol", 1e-9)
+        monkeypatch.setitem(logreg.LBFGS_OPTIONS, "maxiter", 2000)
         rng = np.random.default_rng(10)
         data, _ = expert_dataset(rng, n=40, d=2, m=2)
         h = rng.random((40, 3))
         h /= h.sum(axis=1, keepdims=True)
         lam_gate = 0.3
-        cfg = OptimizerConfig(gradient_tolerance=1e-9, max_iterations=2000)
-        gate = m_step_gate(h, data, lam_gate, cfg)
+        gate = m_step_gate(h, data, lam_gate)
         _, grad = gate_objective_and_gradient(
             gate.theta.ravel(), data.features, h, lam_gate)
         G = grad.reshape(3, 3)
@@ -301,9 +303,6 @@ class TestTrainConfig:
         cfg = TrainConfig(max_experts=3, lam=0.5, lambda_grid=(0.1, 2.0),
                           lam_gate=0.25, holdout_ratio=0.3,
                           internal_test_ratio=0.1, em_tol=1e-4, em_max_iters=7,
-                          optimizer=OptimizerConfig(max_iterations=50,
-                                                    gradient_tolerance=1e-8,
-                                                    memory=5),
                           seed=11)
         assert cfg.to_dict() == {
             "max_experts": 3,
@@ -314,8 +313,6 @@ class TestTrainConfig:
             "internal_test_ratio": 0.1,
             "em_tol": 1e-4,
             "em_max_iters": 7,
-            "optimizer": {"max_iterations": 50, "gradient_tolerance": 1e-8,
-                          "memory": 5},
             "seed": 11,
         }
         assert TrainConfig().to_dict()["lambda"] is None
@@ -331,7 +328,7 @@ class TestGrowMixture:
         rounds = model.meta["growth"]["rounds"]
         assert len(rounds) == 1 and rounds[0]["accepted"]
 
-    def test_zero_residual_stops_growth(self):
+    def test_zero_residual_stops_growth(self, monkeypatch):
         # a hugely separable single feature saturates the CPD so the round-1
         # mixture reproduces every training label with probability 1 (up to
         # float underflow) and the margins vanish
@@ -339,11 +336,9 @@ class TestGrowMixture:
         x = np.array([-1e8] * (n // 2) + [1e8] * (n // 2))
         y = (x > 0).astype(int)[:, None]
         data = Dataset.from_raw(x[:, None], y)
-        cfg = TrainConfig(
-            max_experts=3, lam=0.0, seed=0,
-            optimizer=OptimizerConfig(gradient_tolerance=1e-12,
-                                      max_iterations=5000))
-        model = grow_mixture(data, cfg)
+        monkeypatch.setitem(logreg.LBFGS_OPTIONS, "gtol", 1e-12)
+        monkeypatch.setitem(logreg.LBFGS_OPTIONS, "maxiter", 5000)
+        model = grow_mixture(data, TrainConfig(max_experts=3, lam=0.0, seed=0))
         assert model.k == 1
         stops = [r.get("stopped") for r in model.meta["growth"]["rounds"]]
         assert "zero residual weights" in stops
