@@ -3,7 +3,6 @@
 from .ctbn import CtbnExpert, TreeStructure, exact_map, joint_log_prob, train_parameters
 from .dataset import (
     Dataset,
-    Instance,
     Standardizer,
     holdout_split,
     load_arff,
@@ -44,7 +43,6 @@ __all__ = [
     "Dataset",
     "EvalReport",
     "GatingModel",
-    "Instance",
     "LinearModel",
     "MixtureModel",
     "Standardizer",

@@ -14,7 +14,8 @@ import time
 
 import numpy as np
 
-from .dataset import Dataset, Standardizer, load_arff, load_csv, read_csv_rows
+from .dataset import (Dataset, Standardizer, check_fold_count, load_arff,
+                      load_csv, read_csv_rows)
 from .errors import ArgumentError, MlmeError, SchemaError
 from .evaluation import EvalReport, cross_validate, evaluate_model
 from .inference import AnnealConfig, predict_dataset
@@ -218,9 +219,9 @@ def cmd_evaluate(args) -> int:
 
 def cmd_cv(args) -> int:
     config, anneal = _config(TrainConfig, args), _config(AnnealConfig, args)
+    check_fold_count(args.folds)
     data = _load_labeled(args)
-    report = cross_validate(data, config, k=args.folds, seed=config.seed,
-                            anneal=anneal,
+    report = cross_validate(data, config, k=args.folds, anneal=anneal,
                             standardize=not args.no_standardize)
     atomic_write_text(args.out, report.to_json() + "\n")
     print(report.to_text_table())

@@ -9,7 +9,7 @@ being special-cased in every model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -20,11 +20,6 @@ from .errors import (
     SchemaError,
     UnsupportedAttributeError,
 )
-
-
-class Instance(NamedTuple):
-    features: np.ndarray  # length m+1, features[0] == 1.0
-    labels: np.ndarray    # length d, entries in {0, 1}
 
 
 @dataclass(frozen=True)
@@ -69,16 +64,6 @@ class Dataset:
     def d(self) -> int:
         return self.labels.shape[1]
 
-    def __len__(self) -> int:
-        return self.n
-
-    def __getitem__(self, i: int) -> Instance:
-        return Instance(self.features[i], self.labels[i])
-
-    def __iter__(self) -> Iterator[Instance]:
-        for i in range(self.n):
-            yield self[i]
-
     @classmethod
     def from_raw(cls, raw_features: np.ndarray, labels: np.ndarray) -> "Dataset":
         """Build a dataset from an unbias-ed (N, m) feature matrix."""
@@ -116,12 +101,13 @@ def as_weight_array(w, n: int) -> np.ndarray:
     return arr
 
 
-def _parse_float_rows(rows: Iterable[Sequence[str]]) -> np.ndarray:
+def _parse_float_rows(rows: Iterable[Sequence[str]], path) -> np.ndarray:
     """(N, c) float matrix of rows of string cells, numbered from 1.
 
-    An unparsable or non-finite cell raises DataParseError naming its row.
-    Rows are parsed as they are drawn, so an error the iterator raises for
-    a row comes before a parse error on any later row.
+    An unparsable or non-finite cell raises DataParseError naming its row,
+    and a file ``path`` without rows raises SchemaError.  Rows are parsed as
+    they are drawn, so an error the iterator raises for a row comes before
+    a parse error on any later row.
     """
     values = []
     for parts in rows:
@@ -131,6 +117,8 @@ def _parse_float_rows(rows: Iterable[Sequence[str]]) -> np.ndarray:
             bad = next(p for p in parts if not _is_float(p))
             raise DataParseError(f"row {len(values) + 1}: could not parse "
                                  f"value '{bad.strip()}'") from None
+    if not values:
+        raise SchemaError(f"{path}: no data rows")
     values = np.asarray(values)
     bad = np.argwhere(~np.isfinite(values))
     if bad.size:
@@ -147,39 +135,40 @@ def read_csv_rows(path) -> np.ndarray:
     raises DataParseError naming its row.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        values = _parse_float_rows(_csv_cells(fh))
-    if not len(values):
-        raise SchemaError(f"{path}: no data rows")
-    return values
+        return _parse_float_rows(_csv_cells(fh), path)
 
 
-def _csv_cells(lines) -> Iterator[list[str]]:
-    """Cells of each data line; every row must have the first row's width."""
-    n_cols = None
+def _csv_cells(lines, comment="#", width=None,
+               sparse_ok=True) -> Iterator[list[str]]:
+    """Cells of each line that is neither blank nor a ``comment`` line.
+
+    Every row must have ``width`` cells, by default the first row's.  A
+    sparse ARFF row ``{...}`` is unsupported unless ``sparse_ok``.
+    """
     row = 0
     for line in lines:
         line = line.strip()
-        if not line or line.startswith("#"):
+        if not line or line.startswith(comment):
             continue
+        if not sparse_ok and line.startswith("{"):
+            raise UnsupportedAttributeError(
+                "sparse ARFF data rows are not supported")
         parts = line.split(",")
         row += 1
-        if n_cols is None:
-            n_cols = len(parts)
-        elif len(parts) != n_cols:
-            raise SchemaError(f"row {row}: expected {n_cols} "
+        if width is None:
+            width = len(parts)
+        elif len(parts) != width:
+            raise SchemaError(f"row {row}: expected {width} "
                               f"columns, got {len(parts)}")
         yield parts
 
 
-def load_csv(path, d: int) -> Dataset:
-    """Load a comma-separated file whose last ``d`` columns are binary labels.
+def _split_labels(values: np.ndarray, d: int) -> Dataset:
+    """Dataset of a parsed table whose last ``d`` columns are 0/1 labels.
 
-    Rows are read by read_csv_rows.  The feature count m is inferred from
-    the column count; a bias column is prepended.
+    The other columns, at least one, are the features.  Both are sliced as
+    views, so from_raw's biased matrix is the one copy of the features.
     """
-    if d < 1:
-        raise ArgumentError("label count d must be >= 1")
-    values = read_csv_rows(path)
     if values.shape[1] < d + 1:
         raise SchemaError(f"row 1: needs at least {d + 1} columns "
                           f"(>=1 feature + {d} labels), got {values.shape[1]}")
@@ -190,6 +179,17 @@ def load_csv(path, d: int) -> Dataset:
         raise LabelError(f"row {r + 1}: label values must be 0 or 1, "
                          f"got {labels[r].tolist()}")
     return Dataset.from_raw(values[:, :-d], labels.astype(np.int8))
+
+
+def load_csv(path, d: int) -> Dataset:
+    """Load a comma-separated file whose last ``d`` columns are binary labels.
+
+    Rows are read by read_csv_rows.  The feature count m is inferred from
+    the column count; a bias column is prepended.
+    """
+    if d < 1:
+        raise ArgumentError("label count d must be >= 1")
+    return _split_labels(read_csv_rows(path), d)
 
 
 def _is_float(s: str) -> bool:
@@ -204,61 +204,41 @@ def load_arff(path, label_names: Sequence[str]) -> Dataset:
     """Load a Mulan-style dense ARFF file, extracting labels by attribute name.
 
     Numeric attributes and {0,1} nominal attributes are accepted; anything
-    else raises.  Label attributes may appear at any column position.
+    else raises.  Label attributes may appear at any column position, each
+    named once.  The @data rows go through the CSV reader with '%' comments
+    and the attribute count as their width, so both formats reject the same
+    cells.
     """
-    attrs: list[tuple[str, str]] = []  # (name, kind) with kind in {numeric, binary}
-    data_rows: list[list[str]] = []
-    in_data = False
+    if not label_names:
+        raise ArgumentError("label_names must name at least one label")
+    names: list[str] = []
     with open(path, "r", encoding="utf-8") as fh:
         for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("%"):
-                continue
-            low = line.lower()
-            if not in_data:
-                if low.startswith("@attribute"):
-                    attrs.append(_parse_arff_attribute(line))
-                elif low.startswith("@data"):
-                    in_data = True
-                continue
-            if line.startswith("{"):
-                raise UnsupportedAttributeError(
-                    "sparse ARFF data rows are not supported")
-            data_rows.append([p.strip() for p in line.split(",")])
-    if not attrs:
-        raise SchemaError(f"{path}: no @attribute declarations found")
-    if not data_rows:
-        raise SchemaError(f"{path}: no data rows")
-
-    names = [a[0] for a in attrs]
-    missing = [ln for ln in label_names if ln not in names]
-    if missing:
-        raise SchemaError(f"unknown label attribute(s): {', '.join(missing)}")
-    label_idx = [names.index(ln) for ln in label_names]
-    feature_idx = [i for i in range(len(attrs)) if i not in set(label_idx)]
-
-    n_cols = len(attrs)
-    for r, parts in enumerate(data_rows):
-        if len(parts) != n_cols:
+            low = raw.strip().lower()
+            if low.startswith("@attribute"):
+                names.append(_parse_arff_attribute(raw.strip()))
+            elif low.startswith("@data"):
+                break
+        if not names:
+            raise SchemaError(f"{path}: no @attribute declarations found")
+        missing = [ln for ln in label_names if ln not in names]
+        if missing:
             raise SchemaError(
-                f"row {r + 1}: expected {n_cols} columns, got {len(parts)}")
-    feats = _parse_float_rows([parts[j] for j in feature_idx]
-                             for parts in data_rows)
-    labs = np.empty((len(data_rows), len(label_idx)), dtype=np.int8)
-    for r, parts in enumerate(data_rows):
-        for c, j in enumerate(label_idx):
-            v = parts[j]
-            if v in ("0", "1"):
-                labs[r, c] = int(v)
-                continue
-            if not _is_float(v) or float(v) not in (0.0, 1.0):
-                raise LabelError(
-                    f"row {r + 1}: label '{names[j]}' must be 0 or 1, got '{v}'")
-            labs[r, c] = int(float(v))
-    return Dataset.from_raw(feats, labs)
+                f"unknown label attribute(s): {', '.join(missing)}")
+        repeated = [ln for ln in dict.fromkeys(label_names)
+                    if label_names.count(ln) > 1]
+        if repeated:
+            raise SchemaError(
+                f"repeated label attribute(s): {', '.join(repeated)}")
+        values = _parse_float_rows(
+            _csv_cells(fh, "%", len(names), sparse_ok=False), path)
+    label_idx = [names.index(ln) for ln in label_names]
+    order = [i for i in range(len(names)) if i not in label_idx]
+    return _split_labels(values[:, order + label_idx], len(label_idx))
 
 
-def _parse_arff_attribute(line: str) -> tuple[str, str]:
+def _parse_arff_attribute(line: str) -> str:
+    """Name of a numeric or {0,1} nominal attribute; other types raise."""
     body = line[len("@attribute"):].strip()
     if body.startswith(("'", '"')):
         quote = body[0]
@@ -274,13 +254,18 @@ def _parse_arff_attribute(line: str) -> tuple[str, str]:
     if rest.startswith("{"):
         values = {v.strip().strip("'\"") for v in rest.strip("{}").split(",")}
         if values <= {"0", "1"}:
-            return name, "binary"
+            return name
         raise UnsupportedAttributeError(
             f"attribute '{name}' has non-binary nominal domain {sorted(values)}")
     if rest.lower() in ("numeric", "real", "integer"):
-        return name, "numeric"
+        return name
     raise UnsupportedAttributeError(
         f"attribute '{name}' has unsupported type '{rest}'")
+
+
+def check_fold_count(k: int) -> None:
+    if k < 2:
+        raise ArgumentError(f"fold count k must be >= 2, got {k}")
 
 
 def split_folds(data: Dataset, k: int, seed: int) -> list[tuple[Dataset, Dataset]]:
@@ -289,8 +274,7 @@ def split_folds(data: Dataset, k: int, seed: int) -> list[tuple[Dataset, Dataset
     Test partitions are disjoint, cover every instance exactly once and
     differ in size by at most one.
     """
-    if k < 2:
-        raise ArgumentError("fold count k must be >= 2")
+    check_fold_count(k)
     if k > data.n:
         raise ArgumentError(f"fold count k={k} exceeds N={data.n}")
     rng = np.random.default_rng(seed)

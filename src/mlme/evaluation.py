@@ -195,7 +195,6 @@ def cross_validate(
     data: Dataset,
     trainer: TrainConfig,
     k: int,
-    seed: int,
     anneal: AnnealConfig = AnnealConfig(),
     standardize: bool = True,
     with_baseline: bool = True,
@@ -203,15 +202,11 @@ def cross_validate(
     """k-fold cross-validation of the full train/predict pipeline.
 
     Each fold grows a mixture on its training part (fold-specific seeds
-    derived from ``seed``), MAP-predicts the test part, and records all
-    measures plus wall time.  Feature z-scoring, when enabled, is fit on
+    derived from ``trainer.seed``), MAP-predicts the test part, and records
+    all measures plus wall time.  Feature z-scoring, when enabled, is fit on
     the training part only.
     """
-    if k < 2:
-        raise ArgumentError("cross-validation needs k >= 2")
-    if seed < 0:
-        raise ArgumentError("seed must be >= 0")
-    folds = split_folds(data, k, seed)
+    folds = split_folds(data, k, trainer.seed)
     results = []
     for fold_idx, (train, test) in enumerate(folds):
         start = time.perf_counter()
@@ -220,10 +215,10 @@ def cross_validate(
             train_t, test_t = scaler.transform(train), scaler.transform(test)
         else:
             train_t, test_t = train, test
-        fold_cfg = replace(trainer, seed=_tagged_seed(seed, 101, fold_idx))
+        fold_cfg = replace(trainer, seed=_tagged_seed(trainer.seed, 101, fold_idx))
         model = grow_mixture(train_t, fold_cfg)
         elapsed = time.perf_counter() - start
-        fold_anneal = replace(anneal, seed=_tagged_seed(seed, 102, fold_idx))
+        fold_anneal = replace(anneal, seed=_tagged_seed(trainer.seed, 102, fold_idx))
         baseline = None
         if with_baseline:
             lam = model.meta.get("lambda", 1.0)
@@ -233,7 +228,7 @@ def cross_validate(
                                       baseline_preds=baseline))
     return EvalReport(tuple(results), {
         "folds": k,
-        "seed": seed,
+        "seed": trainer.seed,
         "standardize": standardize,
         "anneal_iterations": anneal.iterations,
         "trainer": trainer.to_dict(),

@@ -224,11 +224,11 @@ def test_criterion_7_emotions_benchmark():
 
     start = time.perf_counter()
     mixture_report = cross_validate(
-        data, TrainConfig(max_experts=5), k=10, seed=42,
+        data, TrainConfig(max_experts=5, seed=42), k=10,
         anneal=AnnealConfig(), standardize=True, with_baseline=True)
     elapsed = time.perf_counter() - start
     single_report = cross_validate(
-        data, TrainConfig(max_experts=1), k=10, seed=42,
+        data, TrainConfig(max_experts=1, seed=42), k=10,
         anneal=AnnealConfig(), standardize=True, with_baseline=False)
 
     ema = mixture_report.aggregate["ema"]["mean"]
@@ -252,7 +252,7 @@ def test_criterion_8_scene_soft_target():
     label_names = ["Beach", "Sunset", "FallFoliage", "Field", "Mountain", "Urban"]
     data = load_benchmark("scene", d=6, label_names=label_names)
     assert (data.n, data.m, data.d) == (2407, 294, 6)
-    report = cross_validate(data, TrainConfig(max_experts=5), k=10, seed=42,
+    report = cross_validate(data, TrainConfig(max_experts=5, seed=42), k=10,
                             anneal=AnnealConfig(), standardize=True)
     ema = report.aggregate["ema"]["mean"]
     status = "meets" if ema >= 0.63 else "below"

@@ -107,6 +107,9 @@ class TestTrainPredict:
         ("no-subcommand", "argument"),
         ("missing-data-train-seed-negative", "argument"),
         ("missing-data-cv-lambda-nan", "argument"),
+        ("missing-data-cv-folds-one", "argument"),
+        ("missing-data-cv-folds-zero", "argument"),
+        ("missing-data-arff-label-names-empty", "argument"),
         ("missing-model-predict-anneal-iters-zero", "argument"),
         ("missing-model-evaluate-seed-negative", "argument"),
     ])
@@ -152,12 +155,20 @@ class TestTrainPredict:
         elif case.startswith("missing-"):
             # a bad flag is reported before any file is opened
             gone = tmp_path / "missing.json"
-            args = {"train": ["train", "--data", gone, "--labels", 2, "--seed", "-1"],
-                    "cv": ["cv", "--data", gone, "--labels", 2, "--lambda", "nan"],
-                    "predict": ["predict", "--model", gone, "--data", gone,
-                                "--anneal-iters", "0"],
-                    "evaluate": ["evaluate", "--model", gone, "--data", gone,
-                                 "--seed", "-1"]}[case.split("-")[2]]
+            cv = ["cv", "--data", gone, "--labels", 2]
+            args = {"missing-data-train-seed-negative":
+                        ["train", "--data", gone, "--labels", 2, "--seed", "-1"],
+                    "missing-data-cv-lambda-nan": cv + ["--lambda", "nan"],
+                    "missing-data-cv-folds-one": cv + ["--folds", "1"],
+                    "missing-data-cv-folds-zero": cv + ["--folds", "0"],
+                    "missing-data-arff-label-names-empty":
+                        ["train", "--data", gone, "--arff", "--label-names", ","],
+                    "missing-model-predict-anneal-iters-zero":
+                        ["predict", "--model", gone, "--data", gone,
+                         "--anneal-iters", "0"],
+                    "missing-model-evaluate-seed-negative":
+                        ["evaluate", "--model", gone, "--data", gone,
+                         "--seed", "-1"]}[case]
         elif case == "train-without-data":
             args = ["train", "--labels", 2]
         elif case == "no-subcommand":
@@ -369,6 +380,15 @@ class TestArffCli:
         doc = json.loads(report.read_text())
         assert 0.0 <= doc["per_fold"][0]["ema"] <= 1.0
 
+    def test_repeated_label_name_is_schema_error(self, tmp_path, toy_arff,
+                                                 capsys):
+        rc = run(["train", "--data", toy_arff, "--arff", "--label-names",
+                  "L1,L2,L1", "--out", tmp_path / "m.json"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == "mlme: error[schema] repeated label attribute(s): L1\n"
+        assert not (tmp_path / "m.json").exists()
+
     def test_predict_arff_without_label_names_errors(self, tmp_path, toy_arff,
                                                      capsys):
         model_path = tmp_path / "m.json"
@@ -378,3 +398,41 @@ class TestArffCli:
                   "--arff", "--out", tmp_path / "p.csv"])
         assert rc == 2
         assert "error[argument]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case, code", [
+    ("feature-abc", "parse"),
+    ("feature-nan", "parse"),
+    ("label-2", "label"),
+    ("label-nan", "parse"),
+    ("label-abc", "parse"),
+    ("ragged-row", "schema"),
+    ("labels-only", "schema"),
+])
+def test_csv_and_arff_reject_a_bad_table_alike(tmp_path, capsys, case, code):
+    """One bad table, written as CSV and as ARFF, gives one error line."""
+    names = ["f1", "L1", "L2"]
+    rows = [["0.5", "1", "0"], ["-1.5", "0", "1"], ["2.0", "1", "1"]]
+    if case == "labels-only":
+        names, rows = names[1:], [r[1:] for r in rows]
+    elif case == "ragged-row":
+        rows[1].append("0")
+    else:
+        col = {"feature": 0, "label": 2 if case == "label-2" else 1}
+        rows[1][col[case.split("-")[0]]] = case.split("-")[1]
+    body = "".join(",".join(r) + "\n" for r in rows)
+    csv, arff = tmp_path / "bad.csv", tmp_path / "bad.arff"
+    csv.write_text(body)
+    arff.write_text("@relation t\n" + "".join(
+        f"@attribute {n} {'numeric' if n[0] == 'f' else '{0,1}'}\n"
+        for n in names) + "@data\n" + body)
+    errors = []
+    for data in (["--data", csv, "--labels", 2],
+                 ["--data", arff, "--arff", "--label-names", "L1,L2"]):
+        rc = run(["train", *data, "--max-experts", 1, "--lambda", 0.5,
+                  "--out", tmp_path / "m.json"])
+        errors.append((rc, capsys.readouterr().err))
+    assert errors[0] == errors[1]
+    rc, err = errors[0]
+    assert rc == 2 and err.startswith(f"mlme: error[{code}] row ")
+    assert len(err.strip().splitlines()) == 1

@@ -108,6 +108,23 @@ class TestLoadArff:
         with pytest.raises(LabelError):
             load_arff(path2, ["L1", "L2"])
 
+    def test_repeated_label_name(self, tmp_path):
+        path = write(tmp_path, "t.arff", ARFF)
+        with pytest.raises(SchemaError, match="repeated label attribute.*L1"):
+            load_arff(path, ["L1", "L2", "L1"])
+
+    def test_empty_label_names_rejected_before_reading(self, tmp_path):
+        with pytest.raises(ArgumentError, match="at least one label"):
+            load_arff(tmp_path / "missing.arff", [])
+
+    def test_sparse_rows_unsupported(self, tmp_path):
+        path = write(tmp_path, "t.arff", ARFF + "{0 1.5, 1 1}\n")
+        with pytest.raises(UnsupportedAttributeError, match="sparse"):
+            load_arff(path, ["L1", "L2"])
+        csv = write(tmp_path, "d.csv", "1.0,0,1\n{0 1.5,1 0,2 1}\n")
+        with pytest.raises(DataParseError, match="row 2"):
+            load_csv(csv, d=2)
+
 
 def toy_dataset(n, m=2, d=2, seed=0):
     rng = np.random.default_rng(seed)
@@ -196,13 +213,6 @@ class TestDatasetValidation:
         data = toy_dataset(3)
         with pytest.raises(ValueError):
             data.features[0, 0] = 5.0
-
-    def test_instance_access_and_iteration(self):
-        data = toy_dataset(4, m=2, d=2)
-        inst = data[1]
-        assert inst.features.shape == (3,) and inst.features[0] == 1.0
-        assert inst.labels.shape == (2,)
-        assert len(list(data)) == len(data) == 4
 
 
 class TestStandardizer:

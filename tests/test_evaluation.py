@@ -171,7 +171,7 @@ class TestStructureExploitation:
         gen = CtbnExpert(structure, tuple(cpds))
         X = np.hstack([np.ones((n, 1)), rng.normal(size=(n, m))])
         data = Dataset(X, sample_labels(rng, gen, X))
-        report = cross_validate(data, TrainConfig(max_experts=2), k=3, seed=1,
+        report = cross_validate(data, TrainConfig(max_experts=2, seed=1), k=3,
                                 anneal=AnnealConfig(iterations=80),
                                 standardize=True)
         agg = report.aggregate
@@ -188,7 +188,7 @@ class TestCrossValidate:
     def test_toy_two_folds_populates_report(self):
         data = self.make_toy()
         report = cross_validate(
-            data, TrainConfig(max_experts=1, lam=0.5, seed=0), k=2, seed=1,
+            data, TrainConfig(max_experts=1, lam=0.5, seed=1), k=2,
             anneal=AnnealConfig(iterations=10))
         assert len(report.per_fold) == 2
         for fold in report.per_fold:
@@ -202,8 +202,8 @@ class TestCrossValidate:
 
     def test_deterministic_up_to_wall_time(self):
         data = self.make_toy()
-        kwargs = dict(trainer=TrainConfig(max_experts=1, lam=0.5, seed=0),
-                      k=2, seed=4, anneal=AnnealConfig(iterations=10))
+        kwargs = dict(trainer=TrainConfig(max_experts=1, lam=0.5, seed=4),
+                      k=2, anneal=AnnealConfig(iterations=10))
         a = cross_validate(data, **kwargs).to_dict()
         b = cross_validate(data, **kwargs).to_dict()
         for doc in (a, b):
@@ -215,7 +215,7 @@ class TestCrossValidate:
     def test_report_serialization_round_trip(self):
         data = self.make_toy()
         report = cross_validate(
-            data, TrainConfig(max_experts=1, lam=0.5, seed=0), k=2, seed=2,
+            data, TrainConfig(max_experts=1, lam=0.5, seed=2), k=2,
             anneal=AnnealConfig(iterations=5))
         doc = json.loads(report.to_json())
         assert doc["config"]["folds"] == 2
@@ -239,4 +239,4 @@ class TestCrossValidate:
 
     def test_rejects_single_fold(self):
         with pytest.raises(ArgumentError):
-            cross_validate(self.make_toy(), TrainConfig(lam=0.5), k=1, seed=0)
+            cross_validate(self.make_toy(), TrainConfig(lam=0.5), k=1)
