@@ -17,7 +17,7 @@ import numpy as np
 
 from .dataset import Dataset, as_weight_array
 from .errors import ArgumentError
-from .logreg import LinearModel, logistic_log_prob, train_weighted
+from .logreg import LinearModel, logistic_log_prob, train_columns
 
 
 @dataclass(frozen=True)
@@ -271,33 +271,53 @@ def train_parameters(
 ) -> CtbnExpert:
     """Fit all CPDs of a fixed structure on instance-weighted data.
 
-    Each child node trains one model per parent label value on the rows
-    where the parent takes that value; roots train on everything.  The rows
-    for each (parent, value) are sliced once and shared by all of that
-    parent's children.  A branch whose parent value never occurs ends up
-    penalty-only (params stay 0).  Passing ``init`` warm-starts each fit
+    The one-structure case of train_experts; ``init`` warm-starts each fit
     from the same node's previous parameters.
     """
-    if structure.d != data.d:
-        raise ArgumentError("structure size does not match dataset labels")
-    if init is not None and init.structure.parent != structure.parent:
-        raise ArgumentError("warm-start expert has a different structure")
     w = as_weight_array(w, data.n)
+    return train_experts([structure], data, w[:, None], lam,
+                         None if init is None else [init])[0]
+
+
+def train_experts(
+    structures: Sequence[TreeStructure],
+    data: Dataset,
+    W: np.ndarray,
+    lam: float,
+    init: Sequence[CtbnExpert] | None = None,
+) -> tuple[CtbnExpert, ...]:
+    """Fit every CPD of every structure in one lockstep solve on the full X.
+
+    Column k of ``W`` (N, K) weights structure k.  Roots train on those
+    weights; child i's model for parent value v trains on them times
+    [y_parent(i) = v], so a branch whose parent value never occurs ends up
+    penalty-only (params stay 0 from a cold start).  ``init`` warm-starts
+    each fit from the same CPD of the k-th previous expert.
+    """
+    if init is not None and len(init) != len(structures):
+        raise ArgumentError("need one warm-start expert per structure")
     X, Y = data.features, data.labels
+    nodes, weights, starts = [], [], []
+    for k, structure in enumerate(structures):
+        if structure.d != data.d:
+            raise ArgumentError("structure size does not match dataset labels")
+        if init is not None and init[k].structure.parent != structure.parent:
+            raise ArgumentError("warm-start expert has a different structure")
+        w = as_weight_array(W[:, k], data.n)
+        for i, p in enumerate(structure.parent):
+            for v in _branch_values(p):
+                nodes.append(i)
+                weights.append(w if p is None else w * (Y[:, p] == v))
+                starts.append(np.zeros(X.shape[1]) if init is None
+                              else init[k].cpds[i][v].params)
+    params = iter(train_columns(X, Y[:, nodes], np.column_stack(weights), lam,
+                                np.column_stack(starts)).T)
+    return tuple(
+        CtbnExpert(s, tuple(tuple(LinearModel(next(params), lam)
+                                  for _ in _branch_values(p)) for p in s.parent))
+        for s in structures)
 
-    def fit(i, v, Xs, Ys, ws):
-        x0 = init.cpds[i][v].params if init is not None else None
-        return train_weighted(Xs, Ys[:, i], ws, lam, x0=x0)
 
-    cpds: list[tuple[LinearModel, ...]] = [()] * structure.d
-    for i in structure.roots:
-        cpds[i] = (fit(i, 0, X, Y, w),)
-    for p, children in enumerate(structure.children()):
-        if not children:
-            continue
-        for v in (0, 1):
-            mask = Y[:, p] == v
-            Xs, Ys, ws = X[mask], Y[mask], w[mask]
-            for i in children:
-                cpds[i] += (fit(i, v, Xs, Ys, ws),)
-    return CtbnExpert(structure, tuple(cpds))
+def _branch_values(parent: Optional[int]) -> tuple[int, ...]:
+    """Parent values v with a CPD of their own: a root has one model (v=0)."""
+    return (0,) if parent is None else (0, 1)

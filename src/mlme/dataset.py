@@ -204,8 +204,8 @@ def load_arff(path, label_names: Sequence[str]) -> Dataset:
     """Load a Mulan-style dense ARFF file, extracting labels by attribute name.
 
     Numeric attributes and {0,1} nominal attributes are accepted; anything
-    else raises.  Label attributes may appear at any column position, each
-    named once.  The @data rows go through the CSV reader with '%' comments
+    else raises.  Every attribute name must be declared once; label
+    attributes may appear at any column position, each named once.  The @data rows go through the CSV reader with '%' comments
     and the attribute count as their width, so both formats reject the same
     cells.
     """
@@ -221,6 +221,9 @@ def load_arff(path, label_names: Sequence[str]) -> Dataset:
                 break
         if not names:
             raise SchemaError(f"{path}: no @attribute declarations found")
+        twice = [n for n in dict.fromkeys(names) if names.count(n) > 1]
+        if twice:
+            raise SchemaError(f"repeated attribute name(s): {', '.join(twice)}")
         missing = [ln for ln in label_names if ln not in names]
         if missing:
             raise SchemaError(

@@ -2,9 +2,12 @@
 
 This is the conditional-probability primitive for every tree node and the
 building block for structure scoring.  The bias (index 0) is never
-regularized.  Optimization uses scipy's L-BFGS-B with the fixed settings in
-``LBFGS_OPTIONS``; the objective/gradient pair is analytic and is checked
-against finite differences in the test suite.
+regularized.  Every fit, and the mixture's softmax gate, runs through
+``minimize``: a numpy L-BFGS that solves B independent problems in lockstep
+over one design matrix, so fits that share the matrix share its products.
+It stops on the fixed settings in ``LBFGS_OPTIONS``.  The objective/gradient
+pair is analytic and is checked against finite differences in the test
+suite; the solver is checked against scipy's L-BFGS-B there too.
 """
 
 from __future__ import annotations
@@ -14,14 +17,14 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .dataset import Dataset, as_weight_array, split_folds
 from .errors import ArgumentError, NumericError
 
 
-# L-BFGS-B settings shared by every fit: CPDs, structure scoring and the gate
-LBFGS_OPTIONS = {"maxiter": 500, "maxcor": 10, "gtol": 1e-6, "ftol": 1e-14}
+# L-BFGS settings shared by every fit: CPDs, structure scoring and the gate
+LBFGS_OPTIONS = {"maxiter": 500, "maxcor": 10, "gtol": 1e-6, "maxls": 20}
+_EPS, _TINY = np.finfo(np.float64).eps, np.finfo(np.float64).tiny
 DEFAULT_LAMBDA_GRID = (0.01, 0.1, 1.0, 10.0)
 
 
@@ -31,24 +34,110 @@ def check_finite_nonnegative(value, name: str) -> None:
         raise ArgumentError(f"{name} must be finite and >= 0, got {value}")
 
 
-def lbfgs_problem(objective, what: str) -> dict:
-    """Keyword arguments for scipy's minimize that maximize ``objective``.
+@dataclass(frozen=True)
+class LbfgsResult:
+    """One lockstep solve: ``x`` is (p, B); ``nit`` and ``nfev`` sum over columns."""
 
-    ``objective(params)`` returns (value, gradient); L-BFGS-B minimizes
-    their negation.  A non-finite value raises NumericError naming ``what``
-    and the evaluation count.
+    x: np.ndarray
+    converged: np.ndarray  # (B,) bool: the column's gradient reached gtol
+    nit: int
+    nfev: int
+
+    @property
+    def success(self) -> bool:
+        return bool(self.converged.all())
+
+
+def minimize(fg, x0: np.ndarray, what: str = "objective") -> LbfgsResult:
+    """Minimize B independent smooth functions in lockstep by L-BFGS.
+
+    ``x0`` is (p, B).  ``fg(theta, cols)`` returns the values (b,) and the
+    gradients (p, b) of the functions ``cols`` (an index array) at the
+    columns of ``theta`` (p, b), so fits that share a design matrix share
+    its matrix products.  Each column keeps its own curvature pairs (the
+    two-loop recursion, Nocedal & Wright alg. 7.4) and its own backtracking
+    Armijo line search with quadratic interpolation.  With LBFGS_OPTIONS
+    read at call time, a column converges once its gradient inf-norm is at
+    most gtol; it stops unconverged when maxls trial steps find no
+    acceptable one, or after maxiter iterations.  Stopped columns freeze and
+    are not evaluated again.  A non-finite value raises NumericError naming
+    ``what``.
     """
-    n_evals = 0
+    opts = dict(LBFGS_OPTIONS)
+    x = np.array(x0, dtype=np.float64)
+    f, g = _evaluate(fg, x, np.arange(x.shape[1]), what)
+    nfev, nit = x.shape[1], 0
+    converged = np.abs(g).max(axis=0, initial=0.0) <= opts["gtol"]
+    live = np.flatnonzero(~converged)          # original column of each slot
+    xs, f, g = x[:, live], f[live], g[:, live]
+    pairs = []       # newest last: s, y, rho s, rho y; rho = 0 skips a column
+    gamma = np.ones(live.size)                 # initial Hessian scale s.y / y.y
+    for it in range(opts["maxiter"]):
+        if live.size == 0:
+            break
+        d = -g
+        alphas = []
+        for s, y, rs, ry in reversed(pairs):
+            alphas.append(np.einsum("pb,pb->b", rs, d))
+            d -= alphas[-1] * y
+        d *= gamma
+        for (s, y, rs, ry), a in zip(pairs, reversed(alphas)):
+            d += s * (a - np.einsum("pb,pb->b", ry, d))
+        slope = np.einsum("pb,pb->b", g, d)
+        step = (np.minimum(1.0, 1.0 / np.linalg.norm(g, axis=0)) if it == 0
+                else np.ones(live.size))
+        x_new, f_new, g_new = xs.copy(), f.copy(), g.copy()
+        search = np.arange(live.size)
+        for _ in range(opts["maxls"]):
+            a, f0, s0 = step[search], f[search], slope[search]
+            trial = xs[:, search] + a * d[:, search]
+            ft, gt = _evaluate(fg, trial, live[search], what)
+            nfev += search.size
+            ok = ft <= f0 + 1e-4 * a * s0      # Armijo, c1 = 1e-4
+            if not ok.all():
+                # near the optimum rounding hides the decrease in f; use its
+                # derivative form from the slope at the trial point
+                # (Hager & Zhang's approximate Wolfe condition)
+                ok |= (ft <= f0 + 1e-12 * np.abs(f0)) & (
+                    np.einsum("pb,pb->b", gt, d[:, search]) <= (2e-4 - 1) * s0)
+            took = search[ok]
+            x_new[:, took], f_new[took], g_new[:, took] = trial[:, ok], ft[ok], gt[:, ok]
+            bad = ~ok
+            search = search[bad]
+            if search.size == 0:
+                break
+            # back off to the minimizer of the quadratic through f(0), f'(0)
+            # and f(a), kept within [a/10, a/2]
+            a, s0 = a[bad], s0[bad]
+            curv = np.maximum(ft[bad] - f0[bad] - s0 * a, _TINY)
+            step[search] = np.clip(-s0 * a * a / (2.0 * curv), 0.1 * a, 0.5 * a)
+        s, y = x_new - xs, g_new - g
+        sy = np.einsum("pb,pb->b", s, y)
+        yy = np.einsum("pb,pb->b", y, y)
+        curved = sy > _EPS * yy
+        rho = np.divide(1.0, sy, out=np.zeros_like(sy), where=curved)
+        pairs = (pairs + [(s, y, rho * s, rho * y)])[-opts["maxcor"]:]
+        gamma = np.divide(sy, yy, out=gamma, where=curved)
+        xs, f, g = x_new, f_new, g_new
+        done = np.abs(g).max(axis=0) <= opts["gtol"]
+        stop = done | (it + 1 == opts["maxiter"])
+        stop[search] = True                    # no acceptable step was found
+        if stop.any():
+            x[:, live[stop]] = xs[:, stop]
+            converged[live[stop]] = done[stop]
+            nit += (it + 1) * int(stop.sum())
+            keep = ~stop
+            live, xs, f, g, gamma = live[keep], xs[:, keep], f[keep], g[:, keep], gamma[keep]
+            pairs = [tuple(v[:, keep] for v in pair) for pair in pairs]
+    return LbfgsResult(x, converged, nit, nfev)
 
-    def neg(params):
-        nonlocal n_evals
-        n_evals += 1
-        value, grad = objective(params)
-        if not np.isfinite(value):
-            raise NumericError(f"non-finite {what} at evaluation {n_evals}")
-        return -value, -grad
 
-    return {"fun": neg, "jac": True, "method": "L-BFGS-B", "options": LBFGS_OPTIONS}
+def _evaluate(fg, theta, cols, what):
+    f, g = fg(theta, cols)
+    if not np.isfinite(f).all():
+        bad = cols[~np.isfinite(f)][0]
+        raise NumericError(f"non-finite {what} in column {int(bad)}")
+    return f, g
 
 
 @dataclass(frozen=True)
@@ -91,15 +180,56 @@ def objective_and_gradient(params, X, t, w, lam):
 
     value = sum_n w_n [t_n log sigma(z_n) + (1-t_n) log sigma(-z_n)]
             - lam/2 * ||params[1:]||^2         (bias unpenalized)
+
+    ``params`` may also be (p, B), with ``t`` and ``w`` (n, B) and ``lam``
+    scalar or (B,): then value is (B,) and the gradient (p, B), column by
+    column.
     """
     params = np.asarray(params, dtype=np.float64)
-    z = X @ params
-    p = sigmoid(z)
-    value = float(w @ logistic_log_prob(z, t))
-    grad = X.T @ (w * (t - p))
-    value -= 0.5 * lam * float(params[1:] @ params[1:])
+    sign = np.where(t == 1, 1.0, -1.0)
+    sz = sign * (X @ params)
+    lp = log_sigmoid(sz)                       # logistic_log_prob(z, t)
+    value = (w * lp).sum(axis=0) - 0.5 * lam * (params[1:] ** 2).sum(axis=0)
+    # t - sigma(z) = sign * sigma(-sign z), and log sigma(-s) = log sigma(s) - s
+    grad = X.T @ (w * sign * np.exp(lp - sz))
     grad[1:] -= lam * params[1:]
     return value, grad
+
+
+def train_columns(X, T, W, lam, x0=None) -> np.ndarray:
+    """(p, B) params maximizing each column's weighted, penalized log-likelihood.
+
+    Column b fits targets T[:, b] under weights W[:, b] and L2 strength
+    ``lam`` (scalar or (B,)) on the shared design matrix X, all B fits in
+    one lockstep ``minimize`` call from ``x0`` (p, B; zeros when None).
+    Instances with zero weight do not influence a fit.  Degenerate targets
+    (no effective instances, or all effective targets equal) surface a
+    RuntimeWarning; when all effective targets are equal the unpenalized
+    bias has no finite optimum, and its fit stops once the gradient is
+    below gtol.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    T = np.asarray(T, dtype=np.float64)
+    W = np.asarray(W, dtype=np.float64)
+    lam = np.broadcast_to(np.asarray(lam, dtype=np.float64), T.shape[1:])
+    for value in np.unique(lam):
+        check_finite_nonnegative(value, "lambda")
+    effective = W > 0
+    if not effective.any(axis=0).all():
+        warnings.warn("training set has no effective (positive-weight) instances",
+                      RuntimeWarning)
+    lo = np.where(effective, T, np.inf).min(axis=0, initial=np.inf)
+    hi = np.where(effective, T, -np.inf).max(axis=0, initial=-np.inf)
+    if np.any(lo == hi):
+        warnings.warn("all effective targets are identical; fit is penalty-driven",
+                      RuntimeWarning)
+
+    def fg(theta, cols):
+        value, grad = objective_and_gradient(theta, X, T[:, cols], W[:, cols], lam[cols])
+        return -value, -grad
+
+    start = np.zeros((X.shape[1], T.shape[1])) if x0 is None else x0
+    return minimize(fg, start).x
 
 
 def train_weighted(
@@ -111,36 +241,25 @@ def train_weighted(
 ) -> LinearModel:
     """Maximize the weighted, penalized log-likelihood over params.
 
-    Instances with zero weight do not influence the fit.  Degenerate targets
-    (no effective instances, or all effective targets equal) still have a
-    finite optimum thanks to the penalty; a RuntimeWarning is surfaced.
+    The one-column case of train_columns: zero-weight instances do not
+    influence the fit, and degenerate targets warn but stay finite.
     """
     X = np.asarray(X, dtype=np.float64)
     t = np.asarray(t, dtype=np.float64)
     w = as_weight_array(w, X.shape[0])
-    check_finite_nonnegative(lam, "lambda")
     if t.shape[0] != X.shape[0]:
         raise ArgumentError("target length does not match feature rows")
-
-    effective = t[w > 0]
-    if effective.size == 0:
-        warnings.warn("training set has no effective (positive-weight) instances",
-                      RuntimeWarning, stacklevel=2)
-    elif np.all(effective == effective[0]):
-        warnings.warn("all effective targets are identical; fit is penalty-driven",
-                      RuntimeWarning, stacklevel=2)
-
-    start = np.zeros(X.shape[1]) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
-    res = minimize(x0=start, **lbfgs_problem(
-        lambda p: objective_and_gradient(p, X, t, w, lam), "objective"))
-    return LinearModel(res.x, lam)
+    start = None if x0 is None else np.asarray(x0, dtype=np.float64)[:, None]
+    params = train_columns(X, t[:, None], w[:, None], lam, start)
+    return LinearModel(params[:, 0], lam)
 
 
 def select_lambda(data: Dataset, grid=DEFAULT_LAMBDA_GRID, seed: int = 0) -> float:
     """Pick one L2 strength by 3-fold CV on per-label logistic regressions.
 
     Scores each grid value by summed held-out log-likelihood across all d
-    labels; ties go to the smaller (less trusting) lambda.
+    labels; ties go to the smaller (less trusting) lambda.  Each fold fits
+    every (grid value, label) pair in one lockstep solve.
     """
     if not grid:
         raise ArgumentError("lambda grid must be nonempty")
@@ -149,18 +268,16 @@ def select_lambda(data: Dataset, grid=DEFAULT_LAMBDA_GRID, seed: int = 0) -> flo
     n_folds = min(3, data.n)
     if n_folds < 2:
         return float(sorted(grid)[0])
-    scores = {float(g): 0.0 for g in grid}
+    lams = sorted({float(g) for g in grid})
+    scores = np.zeros(len(lams))
     for train, test in split_folds(data, n_folds, seed):
-        ones = np.ones(train.n)
-        for lam in scores:
-            for i in range(train.d):
-                model = train_weighted(train.features, train.labels[:, i],
-                                       ones, lam)
-                lp = logistic_log_prob(test.features @ model.params,
-                                       test.labels[:, i])
-                scores[lam] += float(lp.sum())
-    best = max(sorted(scores), key=lambda g: (scores[g], -g))
-    return best
+        T = np.tile(train.labels, len(lams))        # column g*d + i: label i
+        params = train_columns(train.features, T, np.ones(T.shape),
+                               np.repeat(lams, train.d))
+        lp = logistic_log_prob(test.features @ params,
+                               np.tile(test.labels, len(lams)))
+        scores += lp.sum(axis=0).reshape(len(lams), train.d).sum(axis=1)
+    return lams[int(np.argmax(scores))]     # first maximum: the smaller lambda
 
 
 __all__ = [
@@ -168,12 +285,14 @@ __all__ = [
     "LBFGS_OPTIONS",
     "DEFAULT_LAMBDA_GRID",
     "check_finite_nonnegative",
-    "lbfgs_problem",
+    "LbfgsResult",
+    "minimize",
     "log_sigmoid",
     "logistic_log_prob",
     "sigmoid",
     "predict_prob",
     "objective_and_gradient",
+    "train_columns",
     "train_weighted",
     "select_lambda",
 ]

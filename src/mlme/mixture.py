@@ -12,16 +12,15 @@ from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import ctbn
-from .ctbn import CtbnExpert, TreeStructure, train_parameters
+from .ctbn import CtbnExpert, TreeStructure, train_experts, train_parameters
 from .dataset import Dataset, holdout_split
 from .errors import ArgumentError, EmMonotonicityError
 from .logreg import (
     DEFAULT_LAMBDA_GRID,
     check_finite_nonnegative,
-    lbfgs_problem,
+    minimize,
     select_lambda,
 )
 from .structlearn import learn_structure
@@ -187,11 +186,14 @@ def m_step_gate(
     if K == 1:
         # a single expert always gets gate probability 1; zeros by convention
         return GatingModel(np.zeros((1, p)))
-    start = np.zeros(K * p) if x0 is None else x0.theta.ravel().copy()
-    X = data.features
-    res = minimize(x0=start, **lbfgs_problem(
-        lambda theta: gate_objective_and_gradient(theta, X, h, lam_gate),
-        "gate objective"))
+    start = np.zeros(K * p) if x0 is None else x0.theta.ravel()
+
+    def fg(theta, cols):
+        value, grad = gate_objective_and_gradient(theta[:, 0], data.features,
+                                                  h, lam_gate)
+        return np.array([-value]), -grad[:, None]
+
+    res = minimize(fg, start[:, None], "gate objective")
     return GatingModel(res.x.reshape(K, p))
 
 
@@ -202,16 +204,15 @@ def m_step_experts(
     lam: float,
     init: Optional[Sequence[CtbnExpert]] = None,
 ) -> tuple[CtbnExpert, ...]:
-    """Refit every expert's CPDs with its responsibility column as weights."""
+    """Refit every expert's CPDs with its responsibility column as weights.
+
+    All CPDs of all experts share the full feature matrix and are fit in
+    one lockstep solve (ctbn.train_experts).
+    """
     h = np.asarray(h, dtype=np.float64)
     if h.shape[1] != len(structures):
         raise ArgumentError("responsibility columns must match structure count")
-    experts = []
-    for k, structure in enumerate(structures):
-        warm = init[k] if init is not None else None
-        experts.append(
-            train_parameters(structure, data, h[:, k], lam, init=warm))
-    return tuple(experts)
+    return train_experts(structures, data, h, lam, init=init)
 
 
 @dataclass(frozen=True)

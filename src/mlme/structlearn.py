@@ -14,9 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ctbn import TreeStructure, node_log_probs, train_parameters
+from .ctbn import CtbnExpert, TreeStructure, node_log_probs
 from .dataset import Dataset, as_weight_array, holdout_split
 from .errors import ArgumentError
+from .logreg import LinearModel, train_columns
 
 
 @dataclass(frozen=True)
@@ -66,18 +67,35 @@ def build_graph(
     Y_i given (X, Y_j), so the weighted holdout sums of its per-node terms
     are the self weight of j and the weights of every edge j -> i.  The
     star experts are scoring devices only and are discarded.
+
+    The d root models share the whole training matrix and are fit in one
+    lockstep solve; the children of star j given y_j = v share that row
+    slice and are fit in one solve each, so 2d + 1 solves cover all
+    d(2d - 1) models.
     """
     if (train.m, train.d) != (holdout.m, holdout.d):
         raise ArgumentError("train and holdout must share feature/label dims")
     d = train.d
+    X, Y = train.features, train.labels
+    w = as_weight_array(train_w, train.n)
     wh = as_weight_array(holdout_w, holdout.n)
 
+    roots = train_columns(X, Y, np.repeat(w[:, None], d, axis=1), lam).T
     self_weight = np.zeros(d)
     edge_weight = np.zeros((d, d))
     for j in range(d):
+        others = [i for i in range(d) if i != j]
+        branches = np.zeros((d, 2, X.shape[1]))
+        branches[j] = roots[j]
+        for v in (0, 1):
+            rows = Y[:, j] == v
+            branches[others, v] = train_columns(
+                X[rows], Y[rows][:, others],
+                np.repeat(w[rows, None], len(others), axis=1), lam).T
         star = TreeStructure(tuple(None if i == j else j for i in range(d)))
-        expert = train_parameters(star, train, train_w, lam)
-        scores = wh @ node_log_probs(expert, holdout)
+        cpds = tuple(tuple(LinearModel(b, lam) for b in branches[i, :1 if i == j else 2])
+                     for i in range(d))
+        scores = wh @ node_log_probs(CtbnExpert(star, cpds), holdout)
         self_weight[j] = scores[j]
         edge_weight[j] = scores
         edge_weight[j, j] = 0.0

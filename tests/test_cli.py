@@ -90,6 +90,7 @@ class TestTrainPredict:
         ("arff-label-2", "label"),
         ("arff-cell-nan", "parse"),
         ("arff-cell-inf", "parse"),
+        ("arff-attribute-repeated", "schema"),
         ("binary-data", "io"),
         ("flag-lambda-grid-words", "argument"),
         ("flag-lambda-grid-overflow", "argument"),
@@ -169,6 +170,11 @@ class TestTrainPredict:
                     "missing-model-evaluate-seed-negative":
                         ["evaluate", "--model", gone, "--data", gone,
                          "--seed", "-1"]}[case]
+        elif case == "arff-attribute-repeated":
+            data = tmp_path / "bad.arff"
+            data.write_text("@relation t\n@attribute f1 numeric\n@attribute L1 numeric\n"
+                            "@attribute L1 numeric\n@data\n0.5,1,0\n")
+            args = ["train", "--data", data, "--arff", "--label-names", "L1"]
         elif case == "train-without-data":
             args = ["train", "--labels", 2]
         elif case == "no-subcommand":

@@ -113,6 +113,12 @@ class TestLoadArff:
         with pytest.raises(SchemaError, match="repeated label attribute.*L1"):
             load_arff(path, ["L1", "L2", "L1"])
 
+    def test_repeated_attribute_name(self, tmp_path):
+        text = ARFF.replace("@attribute L2 {0,1}", "@attribute L1 {0,1}")
+        path = write(tmp_path, "t.arff", text)
+        with pytest.raises(SchemaError, match="repeated attribute name.*L1"):
+            load_arff(path, ["L1"])
+
     def test_empty_label_names_rejected_before_reading(self, tmp_path):
         with pytest.raises(ArgumentError, match="at least one label"):
             load_arff(tmp_path / "missing.arff", [])

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
-from mlme.errors import ArgumentError
+from mlme import logreg, mixture
+from mlme.errors import ArgumentError, NumericError
 from mlme.logreg import (
+    LBFGS_OPTIONS,
     LinearModel,
     logistic_log_prob,
+    minimize,
     objective_and_gradient,
     predict_prob,
     select_lambda,
@@ -204,3 +207,89 @@ class TestSelectLambda:
         data = Dataset.from_raw(np.zeros((5, 1)), np.zeros((5, 1), dtype=int))
         assert select_lambda(data, (0.5,)) == 0.5
 
+
+
+def random_columns(rng, B, n=60, m=4):
+    """B weighted problems on one matrix: masked rows, a lambda per column,
+    warm starts on about half the columns, and every third column with all
+    of its effective targets equal."""
+    X = np.hstack([np.ones((n, 1)), rng.normal(size=(n, m))])
+    T = rng.integers(0, 2, size=(n, B)).astype(float)
+    W = rng.random((n, B)) * (rng.random((n, B)) > 0.3)
+    lam = rng.choice([0.01, 0.3, 2.0], size=B)
+    equal = np.arange(B) % 3 == 0
+    for b in np.flatnonzero(equal):
+        T[W[:, b] > 0, b] = b % 2
+    x0 = rng.normal(size=(m + 1, B)) * (rng.random(B) < 0.5)
+    return X, T, W, lam, x0, equal
+
+
+def column_problem(X, T, W, lam):
+    def fg(theta, cols):
+        value, grad = objective_and_gradient(theta, X, T[:, cols], W[:, cols], lam[cols])
+        return -value, -grad
+    return fg
+
+
+class TestMinimize:
+    """The lockstep L-BFGS against scipy's L-BFGS-B as a test-only oracle."""
+
+    @pytest.mark.parametrize("B", [1, 7, 40])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_scipy_column_by_column(self, B, seed):
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(seed)
+        X, T, W, lam, x0, equal = random_columns(rng, B)
+        fg = column_problem(X, T, W, lam)
+        res = minimize(fg, x0)
+        assert res.x.shape == (X.shape[1], B)
+        assert res.success == bool(res.converged.all())
+        f, G = fg(res.x, np.arange(B))
+        gtol = LBFGS_OPTIONS["gtol"]
+        for b in range(B):
+            def neg(theta):
+                value, grad = objective_and_gradient(theta, X, T[:, b], W[:, b], lam[b])
+                return -value, -grad
+            oracle = optimize.minimize(neg, x0[:, b], jac=True, method="L-BFGS-B",
+                                       options={**LBFGS_OPTIONS, "ftol": 0.0})
+            if equal[b]:
+                # the unpenalized bias runs off to infinity; both solvers stop
+                # once its gradient, which is about the gain left, is <= gtol
+                assert abs(f[b] - oracle.fun) <= gtol
+            else:
+                assert abs(f[b] - oracle.fun) <= 1e-8 * max(1.0, abs(oracle.fun))
+            if res.converged[b]:
+                assert np.abs(G[:, b]).max() <= gtol
+
+    def test_maxiter_exhaustion_is_not_success(self, monkeypatch):
+        monkeypatch.setitem(LBFGS_OPTIONS, "maxiter", 2)
+        rng = np.random.default_rng(3)
+        X, T, W, lam, x0, _ = random_columns(rng, 7)
+        res = minimize(column_problem(X, T, W, lam), x0)
+        assert not res.success
+        assert res.nit <= 2 * 7 and res.nfev >= 7
+        assert np.all(np.isfinite(res.x))
+
+    def test_unregularized_separable_points_converge(self):
+        # lam = 0 on separable data has no finite optimum, but the gradient
+        # falls below gtol at a finite slope, so no ridge floor is needed
+        X = np.array([[1.0, -2.0], [1.0, -1.0], [1.0, 1.0], [1.0, 2.0]])
+        t = np.array([0.0, 0.0, 1.0, 1.0])
+        model = train_weighted(X, t, np.ones(4), lam=0.0)
+        _, grad = objective_and_gradient(model.params, X, t, np.ones(4), 0.0)
+        assert np.abs(grad).max() <= LBFGS_OPTIONS["gtol"]
+        assert abs(model.params[1] - 15.09) < 0.01
+
+    def test_non_finite_objective_raises(self, monkeypatch):
+        monkeypatch.setattr(logreg, "objective_and_gradient",
+                            lambda params, *args: (np.full(np.shape(params)[1:], np.nan),
+                                                   np.zeros_like(params)))
+        with pytest.raises(NumericError, match="non-finite objective"):
+            train_weighted(np.ones((3, 2)), np.array([0.0, 1.0, 1.0]), np.ones(3), 1.0)
+
+    def test_non_finite_gate_objective_raises(self, monkeypatch):
+        monkeypatch.setattr(mixture, "gate_objective_and_gradient",
+                            lambda theta, *args: (np.inf, np.zeros_like(theta)))
+        data = Dataset.from_raw(np.zeros((4, 1)), np.zeros((4, 1), dtype=int))
+        with pytest.raises(NumericError, match="non-finite gate objective"):
+            mixture.m_step_gate(np.full((4, 2), 0.5), data, 1.0)

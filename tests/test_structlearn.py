@@ -4,7 +4,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-import mlme.ctbn as ctbn
+import mlme.logreg as logreg
 from conftest import expert_dataset
 from mlme.ctbn import TreeStructure
 from mlme.dataset import Dataset, holdout_split
@@ -163,13 +163,13 @@ class TestBuildGraph:
 
     def test_pair_model_count_d3(self, monkeypatch):
         calls = [0]
-        original = ctbn.train_weighted
+        original = logreg.minimize
 
-        def counting(*args, **kwargs):
-            calls[0] += 1
-            return original(*args, **kwargs)
+        def counting(fg, x0, *args, **kwargs):
+            calls[0] += x0.shape[1]      # one solver column per model
+            return original(fg, x0, *args, **kwargs)
 
-        monkeypatch.setattr(ctbn, "train_weighted", counting)
+        monkeypatch.setattr(logreg, "minimize", counting)
         rng = np.random.default_rng(7)
         train, _ = expert_dataset(rng, n=20, d=3, m=2)
         g = build_graph(train, np.ones(20), train, np.ones(20), lam=0.5)
