@@ -1,7 +1,9 @@
 """Command-line entry point: train, predict, evaluate, cross-validate.
 
 Errors exit nonzero with a single machine-parsable line on stderr of the
-form ``mlme: error[<code>] <message>``.
+form ``mlme: error[<code>] <message>``.  Warnings raised while a command
+runs are collected and printed once per distinct message, as
+``mlme: warning[<code>] <message>``; they do not change the exit code.
 """
 
 from __future__ import annotations
@@ -11,11 +13,12 @@ import dataclasses
 import json
 import sys
 import time
+import warnings
 
 import numpy as np
 
 from .dataset import (Dataset, Standardizer, check_fold_count, load_arff,
-                      load_csv, read_csv_rows)
+                      load_csv, read_arff_features, read_csv_rows)
 from .errors import ArgumentError, MlmeError, SchemaError
 from .evaluation import EvalReport, cross_validate, evaluate_model
 from .inference import AnnealConfig, predict_dataset
@@ -120,15 +123,15 @@ def _config(cls, args):
                   if f.name in given})
 
 
-def _load_arff(args) -> Dataset:
+def _label_names(args) -> list[str]:
     if not args.label_names:
         raise ArgumentError("--arff requires --label-names")
-    return load_arff(args.data, [s for s in args.label_names.split(",") if s])
+    return [s for s in args.label_names.split(",") if s]
 
 
 def _load_labeled(args, d_hint=None) -> Dataset:
     if args.arff:
-        return _load_arff(args)
+        return load_arff(args.data, _label_names(args))
     d = args.labels if args.labels is not None else d_hint
     if d is None:
         raise ArgumentError("--labels is required for CSV data")
@@ -156,21 +159,25 @@ def cmd_train(args) -> int:
 
 
 def _features_for_model(args, model) -> np.ndarray:
-    """(N, m+1) biased feature matrix matching the model's dimensionality."""
+    """(N, m+1) biased feature matrix matching the model's dimensionality.
+
+    An ARFF's label columns are dropped by name before their cells are
+    parsed; a CSV's trailing d columns, when present, are cut off unchecked.
+    """
     m, d = model.n_features - 1, model.d
     if args.arff:
-        data = _load_arff(args)
-        if data.m != m:
+        raw = read_arff_features(args.data, _label_names(args))
+        if raw.shape[1] != m:
             raise SchemaError(
-                f"model expects m={m} features but data has m={data.m}")
-        return data.features
-    raw = read_csv_rows(args.data)
-    if raw.shape[1] == m + d:
-        raw = raw[:, :m]
-    elif raw.shape[1] != m:
-        raise SchemaError(
-            f"model expects {m} feature columns (optionally + {d} labels) "
-            f"but data has {raw.shape[1]} columns")
+                f"model expects m={m} features but data has m={raw.shape[1]}")
+    else:
+        raw = read_csv_rows(args.data)
+        if raw.shape[1] == m + d:
+            raw = raw[:, :m]
+        elif raw.shape[1] != m:
+            raise SchemaError(
+                f"model expects {m} feature columns (optionally + {d} labels) "
+                f"but data has {raw.shape[1]} columns")
     return np.hstack([np.ones((raw.shape[0], 1)), raw])
 
 
@@ -237,15 +244,26 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    try:
-        args = build_parser().parse_args(argv)
-        return _COMMANDS[args.command](args)
-    except MlmeError as exc:
-        print(f"mlme: error[{exc.code}] {exc}", file=sys.stderr)
-        return 2
-    except (OSError, UnicodeDecodeError) as exc:
-        print(f"mlme: error[io] {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings(record=True) as caught:
+        # collect every RuntimeWarning whatever the caller's filters; other
+        # kinds keep the interpreter's filters, so deprecations stay hidden
+        warnings.simplefilter("always", RuntimeWarning)
+        try:
+            args = build_parser().parse_args(argv)
+            return _COMMANDS[args.command](args)
+        except MlmeError as exc:
+            error = f"error[{exc.code}] {exc}"
+        except (OSError, UnicodeDecodeError) as exc:
+            error = f"error[io] {exc}"
+        finally:
+            lines = {}                 # one line per distinct message, in order
+            for w in caught:
+                code = getattr(w.category, "code", w.category.__name__)
+                lines[f"mlme: warning[{code}] {w.message}"] = None
+            for line in lines:
+                print(line, file=sys.stderr)
+    print(f"mlme: {error}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -285,6 +285,7 @@ def train_experts(
     W: np.ndarray,
     lam: float,
     init: Sequence[CtbnExpert] | None = None,
+    maxiter: int | None = None,
 ) -> tuple[CtbnExpert, ...]:
     """Fit every CPD of every structure in one lockstep solve on the full X.
 
@@ -292,7 +293,8 @@ def train_experts(
     weights; child i's model for parent value v trains on them times
     [y_parent(i) = v], so a branch whose parent value never occurs ends up
     penalty-only (params stay 0 from a cold start).  ``init`` warm-starts
-    each fit from the same CPD of the k-th previous expert.
+    each fit from the same CPD of the k-th previous expert; ``maxiter`` caps
+    the solve's L-BFGS iterations (logreg.minimize).
     """
     if init is not None and len(init) != len(structures):
         raise ArgumentError("need one warm-start expert per structure")
@@ -311,7 +313,7 @@ def train_experts(
                 starts.append(np.zeros(X.shape[1]) if init is None
                               else init[k].cpds[i][v].params)
     params = iter(train_columns(X, Y[:, nodes], np.column_stack(weights), lam,
-                                np.column_stack(starts)).T)
+                                np.column_stack(starts), maxiter).T)
     return tuple(
         CtbnExpert(s, tuple(tuple(LinearModel(next(params), lam)
                                   for _ in _branch_values(p)) for p in s.parent))

@@ -205,9 +205,31 @@ def load_arff(path, label_names: Sequence[str]) -> Dataset:
 
     Numeric attributes and {0,1} nominal attributes are accepted; anything
     else raises.  Every attribute name must be declared once; label
-    attributes may appear at any column position, each named once.  The @data rows go through the CSV reader with '%' comments
-    and the attribute count as their width, so both formats reject the same
-    cells.
+    attributes may appear at any column position, each named once.  The
+    @data rows go through the CSV reader with '%' comments and the
+    attribute count as their width, so both formats reject the same cells.
+    """
+    values, label_idx = _read_arff(path, label_names, labeled=True)
+    order = [i for i in range(values.shape[1]) if i not in label_idx]
+    return _split_labels(values[:, order + label_idx], len(label_idx))
+
+
+def read_arff_features(path, label_names: Sequence[str]) -> np.ndarray:
+    """(N, m) feature matrix of an ARFF file, in attribute order.
+
+    The header is checked and the ``label_names`` columns are located as in
+    load_arff, but their cells are not parsed: a test set whose labels are
+    unknown ('?') reads like a labeled one.
+    """
+    return _read_arff(path, label_names, labeled=False)[0]
+
+
+def _read_arff(path, label_names: Sequence[str],
+               labeled: bool) -> tuple[np.ndarray, list[int]]:
+    """Parsed @data rows of an ARFF file and the column of each label name.
+
+    With ``labeled`` false the label cells are dropped unparsed, so the rows
+    hold the feature columns alone.
     """
     if not label_names:
         raise ArgumentError("label_names must name at least one label")
@@ -233,11 +255,12 @@ def load_arff(path, label_names: Sequence[str]) -> Dataset:
         if repeated:
             raise SchemaError(
                 f"repeated label attribute(s): {', '.join(repeated)}")
-        values = _parse_float_rows(
-            _csv_cells(fh, "%", len(names), sparse_ok=False), path)
-    label_idx = [names.index(ln) for ln in label_names]
-    order = [i for i in range(len(names)) if i not in label_idx]
-    return _split_labels(values[:, order + label_idx], len(label_idx))
+        label_idx = [names.index(ln) for ln in label_names]
+        rows = _csv_cells(fh, "%", len(names), sparse_ok=False)
+        if not labeled:
+            keep = [i for i in range(len(names)) if i not in label_idx]
+            rows = ([parts[i] for i in keep] for parts in rows)
+        return _parse_float_rows(rows, path), label_idx
 
 
 def _parse_arff_attribute(line: str) -> str:

@@ -1,7 +1,7 @@
 """Exception types shared across the toolkit.
 
-Every error carries a short machine-readable ``code`` so the CLI can emit
-single-line, grep-able error reports.
+Every error, and the one warning kind, carries a short machine-readable
+``code`` so the CLI can emit single-line, grep-able reports.
 """
 
 
@@ -57,3 +57,9 @@ class EmMonotonicityError(MlmeError):
     """The EM objective decreased between iterations; internal inconsistency."""
 
     code = "em-monotonicity"
+
+
+class DegenerateTargetWarning(RuntimeWarning):
+    """A fit had no positive-weight instance, or all its targets were equal."""
+
+    code = "degenerate-target"

@@ -5,9 +5,11 @@ building block for structure scoring.  The bias (index 0) is never
 regularized.  Every fit, and the mixture's softmax gate, runs through
 ``minimize``: a numpy L-BFGS that solves B independent problems in lockstep
 over one design matrix, so fits that share the matrix share its products.
-It stops on the fixed settings in ``LBFGS_OPTIONS``.  The objective/gradient
-pair is analytic and is checked against finite differences in the test
-suite; the solver is checked against scipy's L-BFGS-B there too.
+It stops on the fixed settings in ``LBFGS_OPTIONS``; a warm-started EM
+M-step stops after at most ``EM_MSTEP_MAXITER`` iterations instead.  The
+objective/gradient pair is analytic and is checked against finite
+differences in the test suite; the solver is checked against scipy's
+L-BFGS-B there too.
 """
 
 from __future__ import annotations
@@ -19,11 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset, as_weight_array, split_folds
-from .errors import ArgumentError, NumericError
+from .errors import ArgumentError, DegenerateTargetWarning, NumericError
 
 
 # L-BFGS settings shared by every fit: CPDs, structure scoring and the gate
 LBFGS_OPTIONS = {"maxiter": 500, "maxcor": 10, "gtol": 1e-6, "maxls": 20}
+# iteration cap of every warm-started M-step inside mixture.em_fit
+# (generalised EM: each M-step only has to raise its objective)
+EM_MSTEP_MAXITER = 3
 _EPS, _TINY = np.finfo(np.float64).eps, np.finfo(np.float64).tiny
 DEFAULT_LAMBDA_GRID = (0.01, 0.1, 1.0, 10.0)
 
@@ -48,7 +53,8 @@ class LbfgsResult:
         return bool(self.converged.all())
 
 
-def minimize(fg, x0: np.ndarray, what: str = "objective") -> LbfgsResult:
+def minimize(fg, x0: np.ndarray, what: str = "objective",
+             maxiter: int | None = None) -> LbfgsResult:
     """Minimize B independent smooth functions in lockstep by L-BFGS.
 
     ``x0`` is (p, B).  ``fg(theta, cols)`` returns the values (b,) and the
@@ -59,13 +65,19 @@ def minimize(fg, x0: np.ndarray, what: str = "objective") -> LbfgsResult:
     Armijo line search with quadratic interpolation.  With LBFGS_OPTIONS
     read at call time, a column converges once its gradient inf-norm is at
     most gtol; it stops unconverged when maxls trial steps find no
-    acceptable one, or after maxiter iterations.  Stopped columns freeze and
-    are not evaluated again.  A non-finite value raises NumericError naming
-    ``what``.
+    acceptable one, or after maxiter iterations (``maxiter``, when given,
+    overrides the option).  Stopped columns freeze and are not evaluated
+    again.  No column ends above its starting value: one whose accepted
+    steps added up to a rise (the approximate Wolfe test below tolerates
+    rounding-sized ones) returns its start, unconverged.  A non-finite
+    value raises NumericError naming ``what``.
     """
     opts = dict(LBFGS_OPTIONS)
+    if maxiter is not None:
+        opts["maxiter"] = maxiter
     x = np.array(x0, dtype=np.float64)
     f, g = _evaluate(fg, x, np.arange(x.shape[1]), what)
+    f_start, f_end = f.copy(), f.copy()
     nfev, nit = x.shape[1], 0
     converged = np.abs(g).max(axis=0, initial=0.0) <= opts["gtol"]
     live = np.flatnonzero(~converged)          # original column of each slot
@@ -123,12 +135,14 @@ def minimize(fg, x0: np.ndarray, what: str = "objective") -> LbfgsResult:
         stop = done | (it + 1 == opts["maxiter"])
         stop[search] = True                    # no acceptable step was found
         if stop.any():
-            x[:, live[stop]] = xs[:, stop]
+            x[:, live[stop]], f_end[live[stop]] = xs[:, stop], f[stop]
             converged[live[stop]] = done[stop]
             nit += (it + 1) * int(stop.sum())
             keep = ~stop
             live, xs, f, g, gamma = live[keep], xs[:, keep], f[keep], g[:, keep], gamma[keep]
             pairs = [tuple(v[:, keep] for v in pair) for pair in pairs]
+    rose = f_end > f_start
+    x[:, rose], converged[rose] = np.asarray(x0, dtype=np.float64)[:, rose], False
     return LbfgsResult(x, converged, nit, nfev)
 
 
@@ -196,17 +210,18 @@ def objective_and_gradient(params, X, t, w, lam):
     return value, grad
 
 
-def train_columns(X, T, W, lam, x0=None) -> np.ndarray:
+def train_columns(X, T, W, lam, x0=None, maxiter=None) -> np.ndarray:
     """(p, B) params maximizing each column's weighted, penalized log-likelihood.
 
     Column b fits targets T[:, b] under weights W[:, b] and L2 strength
     ``lam`` (scalar or (B,)) on the shared design matrix X, all B fits in
-    one lockstep ``minimize`` call from ``x0`` (p, B; zeros when None).
+    one lockstep ``minimize`` call from ``x0`` (p, B; zeros when None),
+    stopping after ``maxiter`` iterations when that is given.
     Instances with zero weight do not influence a fit.  Degenerate targets
     (no effective instances, or all effective targets equal) surface a
-    RuntimeWarning; when all effective targets are equal the unpenalized
-    bias has no finite optimum, and its fit stops once the gradient is
-    below gtol.
+    DegenerateTargetWarning, a RuntimeWarning; when all effective targets
+    are equal the unpenalized bias has no finite optimum, and its fit stops
+    once the gradient is below gtol.
     """
     X = np.asarray(X, dtype=np.float64)
     T = np.asarray(T, dtype=np.float64)
@@ -217,19 +232,19 @@ def train_columns(X, T, W, lam, x0=None) -> np.ndarray:
     effective = W > 0
     if not effective.any(axis=0).all():
         warnings.warn("training set has no effective (positive-weight) instances",
-                      RuntimeWarning)
+                      DegenerateTargetWarning)
     lo = np.where(effective, T, np.inf).min(axis=0, initial=np.inf)
     hi = np.where(effective, T, -np.inf).max(axis=0, initial=-np.inf)
     if np.any(lo == hi):
         warnings.warn("all effective targets are identical; fit is penalty-driven",
-                      RuntimeWarning)
+                      DegenerateTargetWarning)
 
     def fg(theta, cols):
         value, grad = objective_and_gradient(theta, X, T[:, cols], W[:, cols], lam[cols])
         return -value, -grad
 
     start = np.zeros((X.shape[1], T.shape[1])) if x0 is None else x0
-    return minimize(fg, start).x
+    return minimize(fg, start, maxiter=maxiter).x
 
 
 def train_weighted(
@@ -283,6 +298,7 @@ def select_lambda(data: Dataset, grid=DEFAULT_LAMBDA_GRID, seed: int = 0) -> flo
 __all__ = [
     "LinearModel",
     "LBFGS_OPTIONS",
+    "EM_MSTEP_MAXITER",
     "DEFAULT_LAMBDA_GRID",
     "check_finite_nonnegative",
     "LbfgsResult",

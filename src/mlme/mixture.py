@@ -19,6 +19,7 @@ from .dataset import Dataset, holdout_split
 from .errors import ArgumentError, EmMonotonicityError
 from .logreg import (
     DEFAULT_LAMBDA_GRID,
+    EM_MSTEP_MAXITER,
     check_finite_nonnegative,
     minimize,
     select_lambda,
@@ -175,8 +176,12 @@ def m_step_gate(
     data: Dataset,
     lam_gate: float,
     x0: Optional[GatingModel] = None,
+    maxiter: Optional[int] = None,
 ) -> GatingModel:
-    """Maximize the (concave) expected gate log-likelihood with L2 penalty."""
+    """Maximize the (concave) expected gate log-likelihood with L2 penalty.
+
+    ``x0`` warm-starts the solve; ``maxiter`` caps its L-BFGS iterations.
+    """
     check_finite_nonnegative(lam_gate, "lambda_gate")
     h = np.asarray(h, dtype=np.float64)
     K = h.shape[1]
@@ -193,7 +198,7 @@ def m_step_gate(
                                                   h, lam_gate)
         return np.array([-value]), -grad[:, None]
 
-    res = minimize(fg, start[:, None], "gate objective")
+    res = minimize(fg, start[:, None], "gate objective", maxiter)
     return GatingModel(res.x.reshape(K, p))
 
 
@@ -203,16 +208,18 @@ def m_step_experts(
     structures: Sequence[TreeStructure],
     lam: float,
     init: Optional[Sequence[CtbnExpert]] = None,
+    maxiter: Optional[int] = None,
 ) -> tuple[CtbnExpert, ...]:
     """Refit every expert's CPDs with its responsibility column as weights.
 
     All CPDs of all experts share the full feature matrix and are fit in
-    one lockstep solve (ctbn.train_experts).
+    one lockstep solve (ctbn.train_experts), warm-started from ``init`` and
+    capped at ``maxiter`` L-BFGS iterations when those are given.
     """
     h = np.asarray(h, dtype=np.float64)
     if h.shape[1] != len(structures):
         raise ArgumentError("responsibility columns must match structure count")
-    return train_experts(structures, data, h, lam, init=init)
+    return train_experts(structures, data, h, lam, init=init, maxiter=maxiter)
 
 
 @dataclass(frozen=True)
@@ -286,7 +293,7 @@ def em_fit(
     init_model: Optional[MixtureModel] = None,
     init_responsibilities: Optional[np.ndarray] = None,
 ) -> EmResult:
-    """Alternate E- and M-steps on fixed structures until convergence.
+    """Generalised EM on fixed structures: alternate E- and M-steps.
 
     The trace records the regularized observed log-likelihood after the
     initialization and after every EM iteration; it must never decrease by
@@ -294,7 +301,21 @@ def em_fit(
     Initialization: ``init_responsibilities`` triggers an immediate M-step
     from those assignments (warm-starting optimizers from ``init_model`` if
     given); otherwise ``init_model`` is used as-is; otherwise a first M-step
-    runs from seeded, slightly perturbed uniform responsibilities.
+    runs from seeded, slightly perturbed uniform responsibilities.  That
+    initialization M-step solves to gtol (logreg.LBFGS_OPTIONS).
+
+    Each later M-step is a generalised one (Neal & Hinton, 1998): it
+    warm-starts the gate and every CPD from the previous iterate and stops
+    after at most logreg.EM_MSTEP_MAXITER L-BFGS iterations.  It only has to
+    raise the expected complete-data objective, and since no column of a
+    solve ends above its start (logreg.minimize), the trace cannot fall.
+    The loop stops when an iteration improves the objective by less than
+    ``em_tol`` relative, or after ``em_max_iters`` iterations.
+
+    With K=1 every responsibility is 1 (any ``init_responsibilities`` are
+    replaced by ones), so one converged M-step is the whole fit: from
+    fresh responsibilities the trace holds the initialization alone, and
+    from an ``init_model`` one uncapped M-step follows it.
     """
     structures = list(structures)
     if not structures:
@@ -304,9 +325,15 @@ def em_fit(
     if init_model is not None and init_model.k != K:
         raise ArgumentError("init_model expert count must match structures")
 
-    if init_responsibilities is None and init_model is not None:
-        model = init_model
-    else:
+    def m_step(h, warm, maxiter=None):
+        gate = m_step_gate(h, data, lam_gate,
+                           None if warm is None else warm.gating, maxiter)
+        experts = m_step_experts(h, data, structures, lam,
+                                 None if warm is None else warm.experts, maxiter)
+        return MixtureModel(experts, gate)
+
+    initial_m_step = init_responsibilities is not None or init_model is None
+    if initial_m_step:
         if init_responsibilities is not None:
             h0 = np.asarray(init_responsibilities, dtype=np.float64)
             if h0.shape != (data.n, K):
@@ -315,19 +342,23 @@ def em_fit(
             rng = np.random.default_rng(_tagged_seed(config.seed, 1))
             h0 = 1.0 + 0.01 * rng.random((data.n, K))
             h0 /= h0.sum(axis=1, keepdims=True)
-        warm_gate = init_model.gating if init_model is not None else None
-        warm_experts = init_model.experts if init_model is not None else None
-        gate = m_step_gate(h0, data, lam_gate, x0=warm_gate)
-        experts = m_step_experts(h0, data, structures, lam, init=warm_experts)
-        model = MixtureModel(experts, gate)
+        if K == 1:
+            h0 = np.ones((data.n, 1))
+        model = m_step(h0, init_model)
+    else:
+        model = init_model
 
+    if K == 1:
+        # the lone expert's responsibilities are all 1, so one converged
+        # M-step is the whole fit: the initial one, else one uncapped step
+        n_iters, cap = (0 if initial_m_step else 1), None
+    else:
+        n_iters, cap = config.em_max_iters, EM_MSTEP_MAXITER
     obj = penalized_objective(model, data, lam_gate)
     trace = [obj]
-    for _ in range(config.em_max_iters):
+    for _ in range(n_iters):
         h = e_step(model, data)
-        gate = m_step_gate(h, data, lam_gate, x0=model.gating)
-        experts = m_step_experts(h, data, structures, lam, init=model.experts)
-        model = MixtureModel(experts, gate)
+        model = m_step(h, model, cap)
         new_obj = penalized_objective(model, data, lam_gate)
         if new_obj < obj - 1e-6:
             raise EmMonotonicityError(

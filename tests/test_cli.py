@@ -52,6 +52,25 @@ class TestTrainPredict:
         assert first[0] in "01" and first[1] in "01"
         assert float(first[2]) <= 0.0
 
+    def test_degenerate_label_warns_on_mlme_lines_only(self, tmp_path, capsys):
+        # an all-zero label column makes fits with equal (or no effective)
+        # targets; the run succeeds and stderr holds only mlme: lines
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(40, 3))
+        data = Dataset.from_raw(X, np.column_stack(
+            [(X[:, 0] > 0).astype(int), np.zeros(40, dtype=int)]))
+        path = tmp_path / "const.csv"
+        data.save_csv(path)
+        capsys.readouterr()
+        assert run(["train", "--data", path, "--labels", 2, "--out",
+                    tmp_path / "m.json", "--max-experts", 2]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert lines
+        assert all(line.startswith("mlme: ") for line in lines)
+        assert ("mlme: warning[degenerate-target] all effective targets are "
+                "identical; fit is penalty-driven") in lines
+        assert len(set(lines)) == len(lines)
+
     def test_predict_features_only_file(self, tmp_path, toy_csv):
         model_path = tmp_path / "model.json"
         run(["train", "--data", toy_csv, "--labels", 2, "--out", model_path,
@@ -70,6 +89,7 @@ class TestTrainPredict:
         model_path = tmp_path / "model.json"
         run(["train", "--data", toy_csv, "--labels", 2, "--out", model_path,
              "--max-experts", 1, "--lambda", 0.5])
+        capsys.readouterr()  # the training run's warning lines
         bad = tmp_path / "bad.csv"
         bad.write_text("1.0,2.0,3.0,4.0,5.0\n")
         rc = run(["predict", "--model", model_path, "--data", bad,
@@ -385,6 +405,32 @@ class TestArffCli:
                     "--anneal-iters", 10]) == 0
         doc = json.loads(report.read_text())
         assert 0.0 <= doc["per_fold"][0]["ema"] <= 1.0
+
+    def test_predict_reads_unlabeled_arff(self, tmp_path, toy_arff, capsys):
+        # test sets ship with '?' label cells: predict never parses them,
+        # and gives the same rows as on the labeled file
+        model_path = tmp_path / "m.json"
+        run(["train", "--data", toy_arff, "--arff", "--label-names", "L1,L2",
+             "--out", model_path, "--max-experts", 1, "--lambda", 0.5])
+        lines = toy_arff.read_text().splitlines()
+        at = lines.index("@data") + 1
+        unlabeled = tmp_path / "unlabeled.arff"
+        unlabeled.write_text("\n".join(
+            lines[:at] + [",".join(row.split(",")[:2] + ["?", "?"])
+                          for row in lines[at:]]) + "\n")
+        preds = {}
+        for name, data in (("labeled", toy_arff), ("unlabeled", unlabeled)):
+            preds[name] = tmp_path / f"{name}.csv"
+            assert run(["predict", "--model", model_path, "--data", data,
+                        "--arff", "--label-names", "L1,L2",
+                        "--out", preds[name]]) == 0
+        assert preds["labeled"].read_bytes() == preds["unlabeled"].read_bytes()
+        capsys.readouterr()
+        rc = run(["evaluate", "--model", model_path, "--data", unlabeled,
+                  "--arff", "--label-names", "L1,L2", "--out", tmp_path / "r.json"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "mlme: error[parse] row 1: could not parse value '?'\n")
 
     def test_repeated_label_name_is_schema_error(self, tmp_path, toy_arff,
                                                  capsys):

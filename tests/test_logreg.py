@@ -4,6 +4,7 @@ import pytest
 from mlme import logreg, mixture
 from mlme.errors import ArgumentError, NumericError
 from mlme.logreg import (
+    EM_MSTEP_MAXITER,
     LBFGS_OPTIONS,
     LinearModel,
     logistic_log_prob,
@@ -269,6 +270,43 @@ class TestMinimize:
         assert not res.success
         assert res.nit <= 2 * 7 and res.nfev >= 7
         assert np.all(np.isfinite(res.x))
+
+    @pytest.mark.parametrize("cap", [1, EM_MSTEP_MAXITER])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_capped_warm_start_never_rises(self, seed, cap):
+        # the EM regime: start from the optimum of the previous weights, with
+        # the weights of most columns moved and the rest left where they were
+        rng = np.random.default_rng(seed)
+        B = 30
+        X, T, W, lam, x0, _ = random_columns(rng, B)
+        start = minimize(column_problem(X, T, W, lam), x0).x
+        moved = rng.random(B) < 0.7
+        W = np.where(moved, W * rng.uniform(0.5, 1.5, size=W.shape), W)
+        fg = column_problem(X, T, W, lam)
+        res = minimize(fg, start, maxiter=cap)
+        f0, f1 = fg(start, np.arange(B))[0], fg(res.x, np.arange(B))[0]
+        # the solver's own evaluations may round a column's value differently
+        # from this all-columns one, so allow a few ulps
+        assert np.all(f1 <= f0 + 1e-13 * np.abs(f0))
+        assert f1[moved].sum() < f0[moved].sum()
+        assert res.nit <= cap * B
+        assert np.all(np.isfinite(res.x))
+
+    def test_column_that_ends_above_its_start_returns_it(self):
+        # every evaluation adds 9e-7 to a quadratic's value: the full step to
+        # the minimum lowers the quadratic by 5e-7, so it raises the value by
+        # 4e-7, which the approximate Wolfe test lets through (1e-12 * 1e6)
+        calls = []
+
+        def fg(theta, cols):
+            calls.append(1)
+            return 1e6 + 0.5 * (theta ** 2).sum(axis=0) + 9e-7 * len(calls), theta
+
+        x0 = np.array([[1e-3]])
+        res = minimize(fg, x0)
+        assert len(calls) == 2
+        np.testing.assert_array_equal(res.x, x0)
+        assert not res.success
 
     def test_unregularized_separable_points_converge(self):
         # lam = 0 on separable data has no finite optimum, but the gradient

@@ -6,6 +6,7 @@ from conftest import (
     expert_dataset,
     random_expert,
     random_mixture,
+    random_structure,
     random_x,
     two_regime_dataset,
 )
@@ -253,19 +254,23 @@ class TestEmFit:
         direct = train_parameters(structure, data, np.ones(40), lam=0.5)
         for a, b in zip(result.model.experts[0].cpds, direct.cpds):
             for ma, mb in zip(a, b):
-                np.testing.assert_allclose(ma.params, mb.params, rtol=1e-12)
+                np.testing.assert_array_equal(ma.params, mb.params)
+        # one expert owns every row: the initial M-step is the whole fit
+        assert len(result.objective_trace) == 1
 
     def test_trace_monotone_on_random_fits(self):
         rng = np.random.default_rng(15)
-        for trial in range(10):
-            d = int(rng.integers(2, 4))
-            data, _ = expert_dataset(rng, n=30, d=d, m=2)
-            structures = [TreeStructure(tuple([None] + [0] * (d - 1))),
-                          TreeStructure((None,) * d)]
-            result = em_fit(structures, data,
-                            TrainConfig(seed=trial, em_max_iters=25), lam=0.3)
-            trace = np.array(result.objective_trace)
-            assert np.all(np.diff(trace) >= -1e-6)
+        for k in (2, 3, 4):
+            for trial in range(10):
+                d = int(rng.integers(2, 4))
+                data, _ = expert_dataset(rng, n=30, d=d, m=2)
+                structures = [TreeStructure(tuple([None] + [0] * (d - 1))),
+                              TreeStructure((None,) * d)]
+                structures += [random_structure(rng, d) for _ in range(k - 2)]
+                result = em_fit(structures, data,
+                                TrainConfig(seed=trial, em_max_iters=25), lam=0.3)
+                trace = np.array(result.objective_trace)
+                assert np.all(np.diff(trace) >= -1e-6)
 
     def test_mixture_beats_single_expert_on_two_regime_data(self):
         rng = np.random.default_rng(16)
