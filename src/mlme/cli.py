@@ -18,7 +18,7 @@ import warnings
 import numpy as np
 
 from .dataset import (Dataset, Standardizer, check_fold_count, load_arff,
-                      load_csv, read_arff_features, read_csv_rows)
+                      load_csv, read_arff_features, read_csv_features)
 from .errors import ArgumentError, MlmeError, SchemaError
 from .evaluation import EvalReport, cross_validate, evaluate_model
 from .inference import AnnealConfig, predict_dataset
@@ -161,8 +161,8 @@ def cmd_train(args) -> int:
 def _features_for_model(args, model) -> np.ndarray:
     """(N, m+1) biased feature matrix matching the model's dimensionality.
 
-    An ARFF's label columns are dropped by name before their cells are
-    parsed; a CSV's trailing d columns, when present, are cut off unchecked.
+    An ARFF's label columns are dropped by name, and a CSV's trailing d
+    columns when present, before their cells are parsed.
     """
     m, d = model.n_features - 1, model.d
     if args.arff:
@@ -171,10 +171,8 @@ def _features_for_model(args, model) -> np.ndarray:
             raise SchemaError(
                 f"model expects m={m} features but data has m={raw.shape[1]}")
     else:
-        raw = read_csv_rows(args.data)
-        if raw.shape[1] == m + d:
-            raw = raw[:, :m]
-        elif raw.shape[1] != m:
+        raw = read_csv_features(args.data, m, d)
+        if raw.shape[1] != m:
             raise SchemaError(
                 f"model expects {m} feature columns (optionally + {d} labels) "
                 f"but data has {raw.shape[1]} columns")

@@ -39,15 +39,10 @@ class TreeStructure:
                 raise ArgumentError(f"parent[{i}]={p} out of range")
             if p == i:
                 raise ArgumentError(f"node {i} cannot be its own parent")
-        # cycle check: walking up from any node must terminate
-        for i in range(d):
-            seen = set()
-            j: Optional[int] = i
-            while j is not None:
-                if j in seen:
-                    raise ArgumentError(f"cycle detected through node {i}")
-                seen.add(j)
-                j = self.parent[j]
+        # a node whose walk up never reaches a root is on or below a cycle
+        stuck = sorted(set(range(d)) - set(self.topological_order()))
+        if stuck:
+            raise ArgumentError(f"cycle detected through node {stuck[0]}")
 
     @property
     def d(self) -> int:
@@ -133,24 +128,21 @@ class CtbnExpert:
 
     def param_table(self) -> np.ndarray:
         """(d, 2, m+1) stacked CPD weights; the root row is duplicated."""
-        cached = getattr(self, "_param_table", None)
-        if cached is not None:
-            return cached
-        table = np.empty((self.d, 2, self.n_features))
-        for i, models in enumerate(self.cpds):
-            if len(models) == 1:
-                table[i, 0] = models[0].params
-                table[i, 1] = models[0].params
-            else:
-                table[i, 0] = models[0].params
-                table[i, 1] = models[1].params
-        table.flags.writeable = False
-        object.__setattr__(self, "_param_table", table)
+        table = getattr(self, "_param_table", None)
+        if table is None:
+            table = np.array([[ms[0].params, ms[-1].params] for ms in self.cpds])
+            table.flags.writeable = False
+            object.__setattr__(self, "_param_table", table)
         return table
 
     def logit_table(self, x: np.ndarray) -> np.ndarray:
-        """(d, 2) per-node logits z[i, v] = theta_{i|parent=v} . x."""
-        return self.param_table() @ np.asarray(x, dtype=np.float64)
+        """(..., d, 2) logits z[..., i, v] = theta_{i|parent=v} . x of rows x.
+
+        ``x`` is one (m+1) row or a (..., m+1) stack; each row's product is
+        taken on its own, so a stack equals its single-row calls bit for bit.
+        """
+        x = np.asarray(x, dtype=np.float64)
+        return (self.param_table() @ x[..., None, :, None])[..., 0]
 
 
 def tree_terms(logits: np.ndarray, parent_index: np.ndarray,
@@ -211,17 +203,23 @@ def joint_log_prob(expert: CtbnExpert, x: np.ndarray, y: Sequence[int]) -> float
                                expert.structure.parent_index, y))
 
 
-def node_log_probs(expert: CtbnExpert, data: Dataset) -> np.ndarray:
-    """(N, d) per-node terms log P(y_i | x, y_parent(i)) of every instance."""
-    if expert.d != data.d:
+def node_log_probs(params: np.ndarray, parent_index: np.ndarray,
+                   data: Dataset) -> np.ndarray:
+    """(N, d) per-node terms log P(y_i | x, y_parent(i)) of every instance.
+
+    ``params`` is a (d, 2, m+1) table as from CtbnExpert.param_table and
+    ``parent_index`` as TreeStructure.parent_index; no expert is needed.
+    """
+    if params.shape[0] != data.d:
         raise ArgumentError("expert and dataset label counts differ")
-    Z = np.einsum("ivp,np->niv", expert.param_table(), data.features)
-    return tree_terms(Z, expert.structure.parent_index, data.labels)
+    Z = np.einsum("ivp,np->niv", params, data.features)
+    return tree_terms(Z, parent_index, data.labels)
 
 
 def log_likelihoods(expert: CtbnExpert, data: Dataset) -> np.ndarray:
     """(N,) joint conditional log-probability of every instance's labels."""
-    return node_order_sum(node_log_probs(expert, data))
+    return node_order_sum(node_log_probs(
+        expert.param_table(), expert.structure.parent_index, data))
 
 
 def max_sum(table: np.ndarray, structure: TreeStructure) -> np.ndarray:

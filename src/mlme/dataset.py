@@ -8,6 +8,7 @@ being special-cased in every model.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -127,15 +128,25 @@ def _parse_float_rows(rows: Iterable[Sequence[str]], path) -> np.ndarray:
     return values
 
 
-def read_csv_rows(path) -> np.ndarray:
-    """(N, c) float matrix of a comma-separated file with c equal columns.
+def read_csv_features(path, m: int, d: int) -> np.ndarray:
+    """Float matrix of a CSV of m feature columns, perhaps followed by d labels.
 
-    Lines starting with '#' and blank lines are skipped; rows are numbered
-    from 1 over the remaining lines.  An unparsable or non-finite cell
-    raises DataParseError naming its row.
+    Rows as in load_csv.  When they have m + d cells, the trailing d label
+    cells are dropped unparsed, as read_arff_features drops an ARFF's, so
+    unknown ('?') labels read like known ones; other rows are parsed whole.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        return _parse_float_rows(_csv_cells(fh), path)
+        rows = _csv_cells(fh)
+        first = next(rows, None)
+        if first is not None:
+            keep = range(m if len(first) == m + d else len(first))
+            rows = _keep_cells(itertools.chain([first], rows), keep)
+        return _parse_float_rows(rows, path)
+
+
+def _keep_cells(rows, keep) -> Iterator[list[str]]:
+    """The cells at positions ``keep`` of each row, left unparsed."""
+    return ([parts[i] for i in keep] for parts in rows)
 
 
 def _csv_cells(lines, comment="#", width=None,
@@ -184,12 +195,15 @@ def _split_labels(values: np.ndarray, d: int) -> Dataset:
 def load_csv(path, d: int) -> Dataset:
     """Load a comma-separated file whose last ``d`` columns are binary labels.
 
-    Rows are read by read_csv_rows.  The feature count m is inferred from
-    the column count; a bias column is prepended.
+    Lines starting with '#' and blank lines are skipped; rows are numbered
+    from 1 over the remaining lines, and an unparsable or non-finite cell
+    raises DataParseError naming its row.  The feature count m is inferred
+    from the column count; a bias column is prepended.
     """
     if d < 1:
         raise ArgumentError("label count d must be >= 1")
-    return _split_labels(read_csv_rows(path), d)
+    with open(path, "r", encoding="utf-8") as fh:
+        return _split_labels(_parse_float_rows(_csv_cells(fh), path), d)
 
 
 def _is_float(s: str) -> bool:
@@ -258,8 +272,8 @@ def _read_arff(path, label_names: Sequence[str],
         label_idx = [names.index(ln) for ln in label_names]
         rows = _csv_cells(fh, "%", len(names), sparse_ok=False)
         if not labeled:
-            keep = [i for i in range(len(names)) if i not in label_idx]
-            rows = ([parts[i] for i in keep] for parts in rows)
+            rows = _keep_cells(rows, [i for i in range(len(names))
+                                      if i not in label_idx])
         return _parse_float_rows(rows, path), label_idx
 
 

@@ -15,10 +15,10 @@ from typing import Optional
 
 import numpy as np
 
-from .ctbn import TreeStructure, train_parameters
 from .dataset import Dataset, Standardizer, split_folds
 from .errors import ArgumentError
 from .inference import AnnealConfig, predict_dataset
+from .logreg import train_columns
 from .mixture import (
     MixtureModel,
     TrainConfig,
@@ -73,13 +73,11 @@ def macro_f1(preds, truth) -> float:
     scores 1; any other zero-denominator class scores 0.
     """
     preds, truth = _check_shapes(preds, truth)
-    scores = []
-    for i in range(truth.shape[1]):
-        tp = float(np.sum((preds[:, i] == 1) & (truth[:, i] == 1)))
-        fp = float(np.sum(preds[:, i] == 1)) - tp
-        fn = float(np.sum(truth[:, i] == 1)) - tp
-        scores.append(_f1(tp, fp, fn))
-    return float(np.mean(scores))
+    tp = np.sum((preds == 1) & (truth == 1), axis=0, dtype=np.float64)
+    fp = np.sum(preds == 1, axis=0, dtype=np.float64) - tp
+    fn = np.sum(truth == 1, axis=0, dtype=np.float64) - tp
+    return float(np.mean([_f1(*counts) for counts in
+                          zip(tp.tolist(), fp.tolist(), fn.tolist())]))
 
 
 def cll_loss(model: MixtureModel, test: Dataset) -> float:
@@ -91,12 +89,9 @@ def binary_relevance_baseline(train: Dataset, test: Dataset, lam: float) -> np.n
     """Predictions from d independent logistic regressions at threshold 0.5."""
     if (train.m, train.d) != (test.m, test.d):
         raise ArgumentError("train and test must share feature/label dims")
-    expert = train_parameters(TreeStructure((None,) * train.d), train,
-                              np.ones(train.n), lam)
-    preds = np.zeros((test.n, test.d), dtype=np.int8)
-    for i, (model,) in enumerate(expert.cpds):
-        preds[:, i] = (test.features @ model.params > 0).astype(np.int8)
-    return preds
+    params = train_columns(train.features, train.labels,
+                           np.ones(train.labels.shape), lam)
+    return (test.features @ params > 0).astype(np.int8)
 
 
 @dataclass(frozen=True)

@@ -60,20 +60,14 @@ class _MixtureScorer:
         if not np.all(np.isfinite(X)):
             raise ArgumentError("feature vector must be finite")
         X = X.reshape(-1, width)
-        n, k, d = X.shape[0], model.k, model.d
         self.structures = [e.structure for e in model.experts]
         self.parent_index = np.stack([s.parent_index for s in self.structures])
-        # one product per row (and expert): a batched X @ theta.T rounds
-        # some entries differently from the single-row products
-        logits = np.empty((n, k, d, 2))
-        self.log_gate = np.empty((n, k))
-        for r, row in enumerate(X):
-            self.log_gate[r] = gating_log_probs(model.gating, row)
-            for j, expert in enumerate(model.experts):
-                logits[r, j] = expert.logit_table(row)
-        self.table = ctbn.node_term_table(logits)          # (n, k, d, 2, 2)
+        # stacked products keep each row's bits; a plain X @ theta.T does not
+        self.log_gate = gating_log_probs(model.gating, X)   # (n, k)
+        self.table = ctbn.node_term_table(np.stack(
+            [e.logit_table(X) for e in model.experts], axis=1))  # (n, k, d, 2, 2)
         self._flat = self.table.reshape(-1)
-        self._base = 4 * np.arange(n * k * d).reshape(n, k, d)
+        self._base = 4 * np.arange(self._flat.size // 4).reshape(self.table.shape[:3])
 
     def logp_batch(self, Y: np.ndarray) -> np.ndarray:
         """Mixture log-probability of the label rows of an (M, d) matrix.

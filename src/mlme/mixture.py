@@ -66,9 +66,13 @@ def logsumexp(a, axis=None, keepdims=False):
 
 
 def gating_log_probs(gate: GatingModel, x: np.ndarray) -> np.ndarray:
-    """Log-softmax of the gate scores; entries sum to 1 in prob space."""
-    z = gate.theta @ np.asarray(x, dtype=np.float64)
-    return z - logsumexp(z)
+    """(..., K) log-softmax of the gate scores of rows x; sums to 1 in prob space.
+
+    ``x`` is one (m+1) row or a (..., m+1) stack; each row's product is
+    taken on its own, so a stack equals its single-row calls bit for bit.
+    """
+    z = (gate.theta @ np.asarray(x, dtype=np.float64)[..., None])[..., 0]
+    return z - logsumexp(z, axis=-1, keepdims=True)
 
 
 def gating_probs(gate: GatingModel, x: np.ndarray) -> np.ndarray:

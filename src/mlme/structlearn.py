@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ctbn import CtbnExpert, TreeStructure, node_log_probs
+from .ctbn import TreeStructure, node_log_probs
 from .dataset import Dataset, as_weight_array, holdout_split
 from .errors import ArgumentError
-from .logreg import LinearModel, train_columns
+from .logreg import train_columns
 
 
 @dataclass(frozen=True)
@@ -34,8 +34,8 @@ class WeightedDigraph:
             raise ArgumentError("edge_weight must be square")
         if S.shape != (E.shape[0],):
             raise ArgumentError("self_weight length must match edge_weight")
-        if not (np.all(np.isfinite(S)) and np.all(np.isfinite(
-                E[~np.eye(E.shape[0], dtype=bool)] if E.shape[0] > 1 else E[:0]))):
+        off_diagonal = E[~np.eye(len(E), dtype=bool)]
+        if not (np.isfinite(S).all() and np.isfinite(off_diagonal).all()):
             raise ArgumentError("graph weights must be finite")
         object.__setattr__(self, "edge_weight", E)
         object.__setattr__(self, "self_weight", S)
@@ -65,8 +65,8 @@ def build_graph(
     label) is trained on the training part.  Its root CPD is the
     unconditional model of Y_j and each child CPD is the two-branch model of
     Y_i given (X, Y_j), so the weighted holdout sums of its per-node terms
-    are the self weight of j and the weights of every edge j -> i.  The
-    star experts are scoring devices only and are discarded.
+    are the self weight of j and the weights of every edge j -> i.  Each
+    star is scored as its (d, 2, m+1) CPD table; no expert is built.
 
     The d root models share the whole training matrix and are fit in one
     lockstep solve; the children of star j given y_j = v share that row
@@ -81,7 +81,6 @@ def build_graph(
     wh = as_weight_array(holdout_w, holdout.n)
 
     roots = train_columns(X, Y, np.repeat(w[:, None], d, axis=1), lam).T
-    self_weight = np.zeros(d)
     edge_weight = np.zeros((d, d))
     for j in range(d):
         others = [i for i in range(d) if i != j]
@@ -92,13 +91,10 @@ def build_graph(
             branches[others, v] = train_columns(
                 X[rows], Y[rows][:, others],
                 np.repeat(w[rows, None], len(others), axis=1), lam).T
-        star = TreeStructure(tuple(None if i == j else j for i in range(d)))
-        cpds = tuple(tuple(LinearModel(b, lam) for b in branches[i, :1 if i == j else 2])
-                     for i in range(d))
-        scores = wh @ node_log_probs(CtbnExpert(star, cpds), holdout)
-        self_weight[j] = scores[j]
-        edge_weight[j] = scores
-        edge_weight[j, j] = 0.0
+        star = np.where(np.arange(d) == j, d, j)      # parent index; j is root
+        edge_weight[j] = wh @ node_log_probs(branches, star, holdout)
+    self_weight = edge_weight.diagonal().copy()      # j's root term
+    np.fill_diagonal(edge_weight, 0.0)
     return WeightedDigraph(edge_weight, self_weight)
 
 

@@ -85,6 +85,44 @@ class TestTrainPredict:
                     "--out", out, "--anneal-iters", 10]) == 0
         assert len(out.read_text().strip().splitlines()) == 20
 
+    @pytest.fixture()
+    def unknown_label_csvs(self, tmp_path):
+        """A d=2 model and one set of 40 rows with 0/1 labels and with '?' labels."""
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(40, 3))
+        labeled = tmp_path / "labeled.csv"
+        Dataset.from_raw(X, (X[:, :2] > 0).astype(int)).save_csv(labeled)
+        unknown = tmp_path / "unknown.csv"
+        unknown.write_text("".join(
+            ",".join(line.split(",")[:3] + ["?", "?"]) + "\n"
+            for line in labeled.read_text().splitlines()
+            if not line.startswith("#")))
+        model_path = tmp_path / "model.json"
+        assert run(["train", "--data", labeled, "--labels", 2, "--out", model_path,
+                    "--max-experts", 2, "--lambda", 0.5]) == 0
+        return model_path, labeled, unknown
+
+    def test_predict_ignores_unknown_csv_labels(self, tmp_path, unknown_label_csvs):
+        # predict never parses a CSV's label cells, as with an ARFF's
+        model_path, labeled, unknown = unknown_label_csvs
+        preds = {}
+        for name, data in (("labeled", labeled), ("unknown", unknown)):
+            preds[name] = tmp_path / f"{name}-preds.csv"
+            assert run(["predict", "--model", model_path, "--data", data,
+                        "--out", preds[name]]) == 0
+        assert len(preds["unknown"].read_text().splitlines()) == 40
+        assert preds["labeled"].read_bytes() == preds["unknown"].read_bytes()
+
+    def test_evaluate_rejects_unknown_csv_labels(self, tmp_path, capsys,
+                                                  unknown_label_csvs):
+        model_path, _, unknown = unknown_label_csvs
+        capsys.readouterr()
+        rc = run(["evaluate", "--model", model_path, "--data", unknown,
+                  "--labels", 2, "--out", tmp_path / "r.json"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "mlme: error[parse] row 1: could not parse value '?'\n")
+
     def test_shape_mismatch_is_schema_error(self, tmp_path, toy_csv, capsys):
         model_path = tmp_path / "model.json"
         run(["train", "--data", toy_csv, "--labels", 2, "--out", model_path,

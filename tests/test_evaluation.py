@@ -154,6 +154,21 @@ class TestBinaryRelevance:
         assert abs(br_ema - mix_ema) < 0.08
 
 
+    @pytest.mark.parametrize("d", [1, 3, 6])
+    def test_equals_thresholded_all_roots_expert(self, d):
+        rng = np.random.default_rng(20 + d)
+        train, _ = expert_dataset(rng, n=120, d=d, m=4)
+        test, _ = expert_dataset(rng, n=60, d=d, m=4)
+        expert = train_parameters(TreeStructure((None,) * d), train,
+                                  np.ones(train.n), 0.3)
+        want = np.zeros((test.n, d), dtype=np.int8)
+        for i, (model,) in enumerate(expert.cpds):
+            want[:, i] = (test.features @ model.params > 0).astype(np.int8)
+        got = binary_relevance_baseline(train, test, lam=0.3)
+        assert got.dtype == np.int8
+        np.testing.assert_array_equal(got, want)
+
+
 class TestStructureExploitation:
     def test_mixture_beats_baseline_on_chained_labels(self):
         # labels form a tight chain (each tracks its predecessor); exploiting

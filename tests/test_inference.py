@@ -16,7 +16,13 @@ from mlme.inference import (
     _MixtureScorer,
 )
 from mlme.logreg import LinearModel
-from mlme.mixture import GatingModel, MixtureModel, mixture_log_prob
+from mlme.mixture import (
+    GatingModel,
+    MixtureModel,
+    gating_log_probs,
+    logsumexp,
+    mixture_log_prob,
+)
 
 
 class TestAnnealConfig:
@@ -255,6 +261,32 @@ def reference_predict(model, X, cfg):
             temperature *= cfg.cooling_rate
         preds[i], logps[i] = best, best_lp
     return preds, logps
+
+
+class TestStackedProducts:
+    """A stack of feature rows gets each row's single-row bits."""
+
+    @pytest.mark.parametrize("n,d,m", itertools.product(
+        (1, 2, 20, 600), (1, 6, 20), (1, 72, 294)))
+    def test_stack_equals_per_row_calls(self, n, d, m):
+        rng = np.random.default_rng(1000 * n + 10 * d + m)
+        X = np.hstack([np.ones((n, 1)), rng.normal(size=(n, m))])
+        for k in (1, 2, 3):
+            model = random_mixture(rng, k=k, d=d, m=m)
+            got = gating_log_probs(model.gating, X)
+            assert got.shape == (n, k)
+            for r, x in enumerate(X):
+                z = model.gating.theta @ x
+                want = z - logsumexp(z)
+                assert gating_log_probs(model.gating, x).tobytes() == want.tobytes()
+                assert got[r].tobytes() == want.tobytes()
+            for expert in model.experts:
+                got = expert.logit_table(X)
+                assert got.shape == (n, d, 2)
+                for r, x in enumerate(X):
+                    want = expert.param_table() @ x
+                    assert expert.logit_table(x).tobytes() == want.tobytes()
+                    assert got[r].tobytes() == want.tobytes()
 
 
 class TestLockstepAnnealing:

@@ -6,9 +6,9 @@ import pytest
 
 import mlme.logreg as logreg
 from conftest import expert_dataset
-from mlme.ctbn import TreeStructure
-from mlme.dataset import Dataset, holdout_split
-from mlme.logreg import log_sigmoid, train_weighted
+from mlme.ctbn import CtbnExpert, TreeStructure, node_log_probs
+from mlme.dataset import Dataset, as_weight_array, holdout_split
+from mlme.logreg import LinearModel, log_sigmoid, train_columns, train_weighted
 from mlme.structlearn import (
     WeightedDigraph,
     build_graph,
@@ -177,6 +177,55 @@ class TestBuildGraph:
         assert calls[0] == 3 + 2 * 3 * 2
         assert g.edge_weight.shape == (3, 3)
         assert g.self_weight.shape == (3,)
+
+
+def reference_build_graph(train, train_w, holdout, holdout_w, lam):
+    """build_graph with each star built as a CtbnExpert and scored node by node."""
+    d = train.d
+    X, Y = train.features, train.labels
+    w = as_weight_array(train_w, train.n)
+    wh = as_weight_array(holdout_w, holdout.n)
+    roots = train_columns(X, Y, np.repeat(w[:, None], d, axis=1), lam).T
+    self_weight = np.zeros(d)
+    edge_weight = np.zeros((d, d))
+    for j in range(d):
+        others = [i for i in range(d) if i != j]
+        branches = np.zeros((d, 2, X.shape[1]))
+        branches[j] = roots[j]
+        for v in (0, 1):
+            rows = Y[:, j] == v
+            branches[others, v] = train_columns(
+                X[rows], Y[rows][:, others],
+                np.repeat(w[rows, None], len(others), axis=1), lam).T
+        star = TreeStructure(tuple(None if i == j else j for i in range(d)))
+        cpds = tuple(tuple(LinearModel(b, lam)
+                           for b in branches[i, :1 if i == j else 2])
+                     for i in range(d))
+        expert = CtbnExpert(star, cpds)
+        scores = wh @ node_log_probs(expert.param_table(),
+                                     expert.structure.parent_index, holdout)
+        self_weight[j] = scores[j]
+        edge_weight[j] = scores
+        edge_weight[j, j] = 0.0
+    return edge_weight, self_weight
+
+
+class TestBuildGraphReference:
+    @pytest.mark.parametrize("n,d,m,zero_holdout", [
+        (40, 1, 2, False), (60, 3, 2, False), (80, 4, 5, False),
+        (200, 6, 8, False), (50, 3, 2, True)])
+    def test_weights_equal_expert_reference(self, n, d, m, zero_holdout):
+        rng = np.random.default_rng(n + d + m)
+        data, _ = expert_dataset(rng, n=n, d=d, m=m)
+        w = rng.random(n) + 0.1
+        (train, wtr), (hold, who) = holdout_split(data, w, 0.3, seed=4)
+        if zero_holdout:
+            who = np.zeros_like(who)
+        g = build_graph(train, wtr, hold, who, lam=0.5)
+        for got, want in zip((g.edge_weight, g.self_weight),
+                             reference_build_graph(train, wtr, hold, who, 0.5)):
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestDecompositionIdentity:
