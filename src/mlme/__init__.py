@@ -19,21 +19,20 @@ from .evaluation import (
     micro_f1,
 )
 from .inference import AnnealConfig, enumerate_map, heuristic_init, map_predict
-from .logreg import LinearModel, objective_and_gradient, predict_prob, train_weighted
+from .logreg import LinearModel, objective_and_gradient, train_weighted
 from .mixture import (
     GatingModel,
     MixtureModel,
     TrainConfig,
     e_step,
     em_fit,
-    gating_probs,
     grow_mixture,
     m_step_experts,
     m_step_gate,
     mixture_log_prob,
 )
 from .model_io import load_model, save_model
-from .structlearn import WeightedDigraph, build_graph, learn_structure, maximum_branching
+from .structlearn import build_graph, learn_structure, maximum_branching
 
 __version__ = "0.1.0"
 
@@ -48,7 +47,6 @@ __all__ = [
     "Standardizer",
     "TrainConfig",
     "TreeStructure",
-    "WeightedDigraph",
     "binary_relevance_baseline",
     "build_graph",
     "cll_loss",
@@ -58,7 +56,6 @@ __all__ = [
     "enumerate_map",
     "exact_map",
     "exact_match_accuracy",
-    "gating_probs",
     "grow_mixture",
     "heuristic_init",
     "holdout_split",
@@ -75,7 +72,6 @@ __all__ = [
     "micro_f1",
     "mixture_log_prob",
     "objective_and_gradient",
-    "predict_prob",
     "save_model",
     "split_folds",
     "train_parameters",

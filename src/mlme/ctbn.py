@@ -216,12 +216,6 @@ def node_log_probs(params: np.ndarray, parent_index: np.ndarray,
     return tree_terms(Z, parent_index, data.labels)
 
 
-def log_likelihoods(expert: CtbnExpert, data: Dataset) -> np.ndarray:
-    """(N,) joint conditional log-probability of every instance's labels."""
-    return node_order_sum(node_log_probs(
-        expert.param_table(), expert.structure.parent_index, data))
-
-
 def max_sum(table: np.ndarray, structure: TreeStructure) -> np.ndarray:
     """(N, d) int8 exact MAP label rows of one tree for N node-term tables.
 

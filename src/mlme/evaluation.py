@@ -192,14 +192,14 @@ def cross_validate(
     k: int,
     anneal: AnnealConfig = AnnealConfig(),
     standardize: bool = True,
-    with_baseline: bool = True,
 ) -> EvalReport:
     """k-fold cross-validation of the full train/predict pipeline.
 
     Each fold grows a mixture on its training part (fold-specific seeds
     derived from ``trainer.seed``), MAP-predicts the test part, and records
-    all measures plus wall time.  Feature z-scoring, when enabled, is fit on
-    the training part only.
+    all measures plus wall time, and the binary relevance baseline's (fit at
+    the fold model's lambda).  Feature z-scoring, when enabled, is fit on the
+    training part only.
     """
     folds = split_folds(data, k, trainer.seed)
     results = []
@@ -214,10 +214,7 @@ def cross_validate(
         model = grow_mixture(train_t, fold_cfg)
         elapsed = time.perf_counter() - start
         fold_anneal = replace(anneal, seed=_tagged_seed(trainer.seed, 102, fold_idx))
-        baseline = None
-        if with_baseline:
-            lam = model.meta.get("lambda", 1.0)
-            baseline = binary_relevance_baseline(train_t, test_t, lam)
+        baseline = binary_relevance_baseline(train_t, test_t, model.meta["lambda"])
         results.append(evaluate_model(model, test_t, fold_anneal,
                                       wall_time=elapsed,
                                       baseline_preds=baseline))

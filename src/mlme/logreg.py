@@ -179,11 +179,6 @@ def sigmoid(z):
     return np.exp(log_sigmoid(z))
 
 
-def predict_prob(model: LinearModel, x: np.ndarray) -> float:
-    """P(t=1 | x) = sigma(params . x); strictly inside (0,1) barring underflow."""
-    return float(sigmoid(model.params @ np.asarray(x, dtype=np.float64)))
-
-
 def logistic_log_prob(z, t):
     """Elementwise log P(t | logit z) = log sigma(+-z); finite for finite z."""
     return log_sigmoid(np.where(t == 1, z, -z))
@@ -294,21 +289,3 @@ def select_lambda(data: Dataset, grid=DEFAULT_LAMBDA_GRID, seed: int = 0) -> flo
         scores += lp.sum(axis=0).reshape(len(lams), train.d).sum(axis=1)
     return lams[int(np.argmax(scores))]     # first maximum: the smaller lambda
 
-
-__all__ = [
-    "LinearModel",
-    "LBFGS_OPTIONS",
-    "EM_MSTEP_MAXITER",
-    "DEFAULT_LAMBDA_GRID",
-    "check_finite_nonnegative",
-    "LbfgsResult",
-    "minimize",
-    "log_sigmoid",
-    "logistic_log_prob",
-    "sigmoid",
-    "predict_prob",
-    "objective_and_gradient",
-    "train_columns",
-    "train_weighted",
-    "select_lambda",
-]

@@ -8,7 +8,7 @@ data, with an internal validation split deciding when to stop.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -75,10 +75,6 @@ def gating_log_probs(gate: GatingModel, x: np.ndarray) -> np.ndarray:
     return z - logsumexp(z, axis=-1, keepdims=True)
 
 
-def gating_probs(gate: GatingModel, x: np.ndarray) -> np.ndarray:
-    return np.exp(gating_log_probs(gate, x))
-
-
 @dataclass(frozen=True)
 class MixtureModel:
     """K CTBN experts plus their gate; immutable once assembled."""
@@ -116,8 +112,8 @@ def component_log_prob_matrix(model: MixtureModel, data: Dataset) -> np.ndarray:
     """(N, K) of log g_k(x_n) + log P(y_n | x_n, expert_k)."""
     Z = data.features @ model.gating.theta.T
     log_g = Z - logsumexp(Z, axis=1, keepdims=True)
-    return log_g + np.column_stack(
-        [ctbn.log_likelihoods(e, data) for e in model.experts])
+    return log_g + np.column_stack([ctbn.node_order_sum(ctbn.node_log_probs(
+        e.param_table(), e.structure.parent_index, data)) for e in model.experts])
 
 
 def mixture_log_prob(model: MixtureModel, x: np.ndarray, y) -> float:
@@ -148,12 +144,21 @@ def model_penalty(model: MixtureModel, lam_gate: float) -> float:
 
 def penalized_objective(model: MixtureModel, data: Dataset, lam_gate: float) -> float:
     """Observed log-likelihood minus all regularization penalties."""
-    return observed_log_likelihood(model, data) - model_penalty(model, lam_gate)
+    return _objective(component_log_prob_matrix(model, data), model, lam_gate)
+
+
+def _objective(L: np.ndarray, model: MixtureModel, lam_gate: float) -> float:
+    """penalized_objective from the model's component_log_prob_matrix L."""
+    return float(logsumexp(L, axis=1).sum()) - model_penalty(model, lam_gate)
 
 
 def e_step(model: MixtureModel, data: Dataset) -> np.ndarray:
     """Posterior responsibility of each expert for each instance (rows sum to 1)."""
-    L = component_log_prob_matrix(model, data)
+    return _posteriors(component_log_prob_matrix(model, data))
+
+
+def _posteriors(L: np.ndarray) -> np.ndarray:
+    """e_step from the model's component_log_prob_matrix L."""
     return np.exp(L - logsumexp(L, axis=1, keepdims=True))
 
 
@@ -277,14 +282,12 @@ def _tagged_seed(base: int, *tags: int) -> int:
     return int(np.random.SeedSequence(base, spawn_key=tags).generate_state(1)[0])
 
 
-def _resolve_lambdas(data, config, lam, lam_gate):
-    if lam is None:
-        lam = config.lam
+def _resolve_lambdas(data, config):
+    lam = config.lam
     if lam is None:
         lam = select_lambda(data, config.lambda_grid,
                             seed=_tagged_seed(config.seed, 0))
-    if lam_gate is None:
-        lam_gate = config.lam_gate if config.lam_gate is not None else lam
+    lam_gate = config.lam_gate if config.lam_gate is not None else lam
     return float(lam), float(lam_gate)
 
 
@@ -292,16 +295,16 @@ def em_fit(
     structures: Sequence[TreeStructure],
     data: Dataset,
     config: TrainConfig = TrainConfig(),
-    lam: Optional[float] = None,
-    lam_gate: Optional[float] = None,
     init_model: Optional[MixtureModel] = None,
     init_responsibilities: Optional[np.ndarray] = None,
 ) -> EmResult:
     """Generalised EM on fixed structures: alternate E- and M-steps.
 
-    The trace records the regularized observed log-likelihood after the
-    initialization and after every EM iteration; it must never decrease by
-    more than 1e-6 (anything larger is an internal-consistency failure).
+    The L2 strengths are ``config.lam`` and ``config.lam_gate``, chosen as
+    TrainConfig documents when None.  The trace records the regularized
+    observed log-likelihood after the initialization and after every EM
+    iteration; it must never decrease by more than 1e-6 (anything larger
+    is an internal-consistency failure).
     Initialization: ``init_responsibilities`` triggers an immediate M-step
     from those assignments (warm-starting optimizers from ``init_model`` if
     given); otherwise ``init_model`` is used as-is; otherwise a first M-step
@@ -325,7 +328,7 @@ def em_fit(
     if not structures:
         raise ArgumentError("need at least one structure")
     K = len(structures)
-    lam, lam_gate = _resolve_lambdas(data, config, lam, lam_gate)
+    lam, lam_gate = _resolve_lambdas(data, config)
     if init_model is not None and init_model.k != K:
         raise ArgumentError("init_model expert count must match structures")
 
@@ -358,12 +361,14 @@ def em_fit(
         n_iters, cap = (0 if initial_m_step else 1), None
     else:
         n_iters, cap = config.em_max_iters, EM_MSTEP_MAXITER
-    obj = penalized_objective(model, data, lam_gate)
+    # each iterate is scored once: L gives its objective and the next E-step
+    L = component_log_prob_matrix(model, data)
+    obj = _objective(L, model, lam_gate)
     trace = [obj]
     for _ in range(n_iters):
-        h = e_step(model, data)
-        model = m_step(h, model, cap)
-        new_obj = penalized_objective(model, data, lam_gate)
+        model = m_step(_posteriors(L), model, cap)
+        L = component_log_prob_matrix(model, data)
+        new_obj = _objective(L, model, lam_gate)
         if new_obj < obj - 1e-6:
             raise EmMonotonicityError(
                 f"EM objective decreased from {obj:.9f} to {new_obj:.9f}")
@@ -388,7 +393,8 @@ def grow_mixture(data: Dataset, config: TrainConfig = TrainConfig()) -> MixtureM
     """
     if data.n < 5:
         raise ArgumentError("mixture growth needs at least 5 instances")
-    lam, lam_gate = _resolve_lambdas(data, config, None, None)
+    lam, lam_gate = _resolve_lambdas(data, config)
+    em_config = replace(config, lam=lam, lam_gate=lam_gate)
     (itr, _), (ite, _) = holdout_split(
         data, np.ones(data.n), config.internal_test_ratio,
         _tagged_seed(config.seed, 2))
@@ -415,12 +421,10 @@ def grow_mixture(data: Dataset, config: TrainConfig = TrainConfig()) -> MixtureM
             gate = GatingModel(np.vstack(
                 [current.gating.theta, np.zeros((1, data.features.shape[1]))]))
             init = MixtureModel(current.experts + (new_expert,), gate)
-            h_prev = e_step(current, itr)
             init_h = np.hstack(
                 [(1.0 - margins)[:, None] * h_prev, margins[:, None]])
-        fit = em_fit(accepted + [structure], itr, config,
-                     lam=lam, lam_gate=lam_gate, init_model=init,
-                     init_responsibilities=init_h)
+        fit = em_fit(accepted + [structure], itr, em_config,
+                     init_model=init, init_responsibilities=init_h)
         test_ll = observed_log_likelihood(fit.model, ite)
         entry = {
             "k": k,
@@ -439,15 +443,16 @@ def grow_mixture(data: Dataset, config: TrainConfig = TrainConfig()) -> MixtureM
         current_test_ll = test_ll
         if k == config.max_experts:
             break
-        margins = np.clip(1.0 - np.exp(instance_log_probs(current, itr)), 0.0, 1.0)
+        L = component_log_prob_matrix(current, itr)
+        margins = np.clip(1.0 - np.exp(logsumexp(L, axis=1)), 0.0, 1.0)
         total = margins.sum()
         if total <= 1e-12:
             rounds.append({"k": k + 1, "stopped": "zero residual weights"})
             break
         omega = margins / total
+        h_prev = _posteriors(L)
 
-    final = em_fit(accepted, data, config,
-                   lam=lam, lam_gate=lam_gate, init_model=current)
+    final = em_fit(accepted, data, em_config, init_model=current)
     meta = {
         "m": data.m,
         "d": data.d,

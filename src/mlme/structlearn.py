@@ -10,8 +10,6 @@ virtual root.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .ctbn import TreeStructure, node_log_probs
@@ -20,52 +18,24 @@ from .errors import ArgumentError
 from .logreg import train_columns
 
 
-@dataclass(frozen=True)
-class WeightedDigraph:
-    """Dense class-dependency graph; diagonal of edge_weight is unused."""
-
-    edge_weight: np.ndarray  # (d, d), [j, i] scores the edge j -> i
-    self_weight: np.ndarray  # (d,)   scores "no class parent" per node
-
-    def __post_init__(self):
-        E = np.asarray(self.edge_weight, dtype=np.float64)
-        S = np.asarray(self.self_weight, dtype=np.float64)
-        if E.ndim != 2 or E.shape[0] != E.shape[1]:
-            raise ArgumentError("edge_weight must be square")
-        if S.shape != (E.shape[0],):
-            raise ArgumentError("self_weight length must match edge_weight")
-        off_diagonal = E[~np.eye(len(E), dtype=bool)]
-        if not (np.isfinite(S).all() and np.isfinite(off_diagonal).all()):
-            raise ArgumentError("graph weights must be finite")
-        object.__setattr__(self, "edge_weight", E)
-        object.__setattr__(self, "self_weight", S)
-
-    @property
-    def d(self) -> int:
-        return self.self_weight.shape[0]
-
-    def structure_score(self, structure: TreeStructure) -> float:
-        """Sum of the chosen parent-option weights for a given forest."""
-        total = 0.0
-        for i, p in enumerate(structure.parent):
-            total += self.self_weight[i] if p is None else self.edge_weight[p, i]
-        return float(total)
-
-
 def build_graph(
     train: Dataset,
     train_w,
     holdout: Dataset,
     holdout_w,
     lam: float,
-) -> WeightedDigraph:
+) -> np.ndarray:
     """Score every parent option by weighted hold-out log-likelihood.
+
+    Returns the (d+1, d+1) score matrix W of maximum_branching: W[j, i]
+    scores the edge j -> i and W[d, i] the "no class parent" option of i;
+    the diagonal and column d are -inf.
 
     For each label j a star expert (j a root and the parent of every other
     label) is trained on the training part.  Its root CPD is the
     unconditional model of Y_j and each child CPD is the two-branch model of
     Y_i given (X, Y_j), so the weighted holdout sums of its per-node terms
-    are the self weight of j and the weights of every edge j -> i.  Each
+    are the no-parent score of j and the scores of every edge j -> i.  Each
     star is scored as its (d, 2, m+1) CPD table; no expert is built.
 
     The d root models share the whole training matrix and are fit in one
@@ -81,7 +51,7 @@ def build_graph(
     wh = as_weight_array(holdout_w, holdout.n)
 
     roots = train_columns(X, Y, np.repeat(w[:, None], d, axis=1), lam).T
-    edge_weight = np.zeros((d, d))
+    W = np.full((d + 1, d + 1), -np.inf)
     for j in range(d):
         others = [i for i in range(d) if i != j]
         branches = np.zeros((d, 2, X.shape[1]))
@@ -92,19 +62,20 @@ def build_graph(
                 X[rows], Y[rows][:, others],
                 np.repeat(w[rows, None], len(others), axis=1), lam).T
         star = np.where(np.arange(d) == j, d, j)      # parent index; j is root
-        edge_weight[j] = wh @ node_log_probs(branches, star, holdout)
-    self_weight = edge_weight.diagonal().copy()      # j's root term
-    np.fill_diagonal(edge_weight, 0.0)
-    return WeightedDigraph(edge_weight, self_weight)
+        W[j, :d] = wh @ node_log_probs(branches, star, holdout)
+        W[d, j] = W[j, j]                              # j's root term
+    np.fill_diagonal(W, -np.inf)
+    return W
 
 
-def maximum_branching(g: WeightedDigraph) -> TreeStructure:
-    """Best forest under the graph's weights via Chu-Liu/Edmonds.
+def maximum_branching(W) -> TreeStructure:
+    """Best forest under a (d+1, d+1) score matrix via Chu-Liu/Edmonds.
 
-    The "no parent" option becomes an edge from a virtual root, so the
-    problem is a maximum spanning arborescence of the (d+1)-node score
-    matrix W[u, v] (row d is the root, missing edges are -inf).  Tie rule,
-    which makes the result a pure function of the weights:
+    W[j, i] scores the edge j -> i and row d the "no parent" option, an edge
+    from a virtual root, so the problem is a maximum spanning arborescence
+    of the (d+1)-node matrix.  The diagonal and column d are ignored; every
+    other entry must be finite.  Tie rule, which makes the result a pure
+    function of the weights:
 
     - each node's best parent is the first maximum in the order root, 0,
       1, ... (contracted nodes come after every original node);
@@ -113,12 +84,15 @@ def maximum_branching(g: WeightedDigraph) -> TreeStructure:
     - an edge leaving a contracted cycle comes from its lowest tying cycle
       node, and an edge entering it goes to its lowest tying cycle node.
     """
-    d = g.d
-    W = np.full((d + 1, d + 1), -np.inf)
-    W[:d, :d] = g.edge_weight
-    W[d, :d] = g.self_weight
-    np.fill_diagonal(W, -np.inf)
-    parent = _arborescence(W, root=d)
+    W = np.asarray(W, dtype=np.float64)
+    if W.ndim != 2 or W.shape[0] != W.shape[1] or W.shape[0] < 2:
+        raise ArgumentError("score matrix must be (d+1, d+1) with d >= 1")
+    d = W.shape[0] - 1
+    ignored = np.eye(d + 1, dtype=bool)
+    ignored[:, d] = True
+    if not np.isfinite(W[~ignored]).all():
+        raise ArgumentError("edge and no-parent scores must be finite")
+    parent = _arborescence(np.where(ignored, -np.inf, W), root=d)
     return TreeStructure(tuple(None if p == d else int(p) for p in parent[:d]))
 
 
@@ -176,5 +150,4 @@ def learn_structure(
 ) -> TreeStructure:
     """Split, score every parent option on the holdout, take the best forest."""
     (train, train_w), (hold, hold_w) = holdout_split(data, w, holdout_ratio, seed)
-    graph = build_graph(train, train_w, hold, hold_w, lam)
-    return maximum_branching(graph)
+    return maximum_branching(build_graph(train, train_w, hold, hold_w, lam))

@@ -34,9 +34,9 @@ from mlme.mixture import (
     observed_log_likelihood,
 )
 from mlme.model_io import model_to_dict
-from mlme.structlearn import WeightedDigraph, maximum_branching
+from mlme.structlearn import maximum_branching
 
-from test_structlearn import brute_force_best_score
+from test_structlearn import brute_force_best_score, score_matrix, structure_score
 from test_logreg import finite_difference_gradient
 
 DATA_DIR = Path(os.environ.get("MLME_DATA_DIR", "data"))
@@ -125,7 +125,7 @@ def test_criterion_3_em_monotone_objective():
         ]
         k = 1 + run % 2
         result = em_fit(structures[:k], data,
-                        TrainConfig(seed=run, em_max_iters=20), lam=0.2)
+                        TrainConfig(seed=run, em_max_iters=20, lam=0.2))
         trace = np.asarray(result.objective_trace)
         assert np.all(np.diff(trace) >= -1e-6), f"run {run}: {trace}"
         checked += len(trace) - 1
@@ -182,9 +182,9 @@ def test_criterion_5_maximum_branching_is_optimal():
         E = rng.normal(size=(d, d))
         np.fill_diagonal(E, 0.0)
         S = rng.normal(size=d)
-        g = WeightedDigraph(E, S)
+        g = score_matrix(E, S)
         structure = maximum_branching(g)
-        score = g.structure_score(structure)
+        score = structure_score(g, structure)
         best = brute_force_best_score(g)
         assert score == pytest.approx(best, abs=1e-12), f"trial {trial}"
     report_pass("criterion 5: maximum branching optimal on 1000/1000 graphs")
@@ -225,11 +225,11 @@ def test_criterion_7_emotions_benchmark():
     start = time.perf_counter()
     mixture_report = cross_validate(
         data, TrainConfig(max_experts=5, seed=42), k=10,
-        anneal=AnnealConfig(), standardize=True, with_baseline=True)
+        anneal=AnnealConfig(), standardize=True)
     elapsed = time.perf_counter() - start
     single_report = cross_validate(
         data, TrainConfig(max_experts=1, seed=42), k=10,
-        anneal=AnnealConfig(), standardize=True, with_baseline=False)
+        anneal=AnnealConfig(), standardize=True)
 
     ema = mixture_report.aggregate["ema"]["mean"]
     cll = mixture_report.aggregate["cll_loss"]["mean"]

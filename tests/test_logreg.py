@@ -10,8 +10,8 @@ from mlme.logreg import (
     logistic_log_prob,
     minimize,
     objective_and_gradient,
-    predict_prob,
     select_lambda,
+    sigmoid,
     train_weighted,
 )
 from mlme.dataset import Dataset
@@ -33,23 +33,23 @@ def finite_difference_gradient(params, X, t, w, lam, step=1e-5):
 class TestPredictProb:
     def test_zero_params_is_half(self):
         model = LinearModel(np.zeros(4), 0.0)
-        assert predict_prob(model, np.array([1.0, 3.0, -2.0, 0.5])) == 0.5
+        assert sigmoid(model.params @ np.array([1.0, 3.0, -2.0, 0.5])) == 0.5
 
     def test_log_three_gives_three_quarters(self):
         model = LinearModel(np.array([np.log(3.0), 0.0]), 0.0)
-        assert abs(predict_prob(model, np.array([1.0, 0.0])) - 0.75) < 1e-15
+        assert abs(sigmoid(model.params @ np.array([1.0, 0.0])) - 0.75) < 1e-15
 
     def test_saturation_no_nan(self):
         model = LinearModel(np.array([-1000.0, 0.0]), 0.0)
         x = np.array([1.0, 0.0])
-        p = predict_prob(model, x)
+        p = sigmoid(model.params @ x)
         assert 0.0 <= p <= 1e-300
 
     def test_strictly_inside_unit_interval_moderate(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
             model = LinearModel(rng.normal(scale=5, size=3), 0.0)
-            p = predict_prob(model, np.concatenate([[1.0], rng.normal(size=2)]))
+            p = sigmoid(model.params @ np.concatenate([[1.0], rng.normal(size=2)]))
             assert 0.0 < p < 1.0
 
 
@@ -70,7 +70,7 @@ class TestLogisticLogProb:
             x = np.concatenate([[1.0], rng.normal(size=2)])
             z = model.params @ x
             p1, p0 = np.exp(logistic_log_prob(z, 1)), np.exp(logistic_log_prob(z, 0))
-            assert abs(p1 - predict_prob(model, x)) < 1e-15
+            assert abs(p1 - sigmoid(model.params @ x)) < 1e-15
             assert abs(p0 + p1 - 1.0) < 1e-15
 
 
@@ -115,7 +115,7 @@ class TestTrainWeighted:
         t = np.array([1.0, 0.0, 0.0])
         w = np.array([1.0, 0.0, 0.0])
         model = train_weighted(X, t, w, lam=0.5)
-        assert predict_prob(model, X[0]) > 0.5
+        assert sigmoid(model.params @ X[0]) > 0.5
 
     def test_huge_lambda_shrinks_weights(self):
         rng = np.random.default_rng(1)
@@ -125,7 +125,7 @@ class TestTrainWeighted:
         assert np.all(np.abs(model.params[1:]) < 1e-6)
         # bias still tracks the class prior
         prior = t.mean()
-        assert abs(predict_prob(model, np.array([1.0, 0, 0, 0])) - prior) < 0.05
+        assert abs(sigmoid(model.params @ np.array([1.0, 0, 0, 0])) - prior) < 0.05
 
     def test_matches_dense_grid_search_1d(self):
         # two separable points; optimum found by brute force over (bias, w)
@@ -148,7 +148,7 @@ class TestTrainWeighted:
         assert trained_value >= grid_best - 1e-3
         # and the fitted probability curve is monotone in x
         xs = np.linspace(-2, 2, 50)
-        probs = [predict_prob(model, np.array([1.0, x])) for x in xs]
+        probs = [sigmoid(model.params @ np.array([1.0, x])) for x in xs]
         assert np.all(np.diff(probs) > 0)
 
     def test_weight_scaling_with_lambda_matches(self):

@@ -23,7 +23,7 @@ from mlme.mixture import (
     e_step,
     em_fit,
     gate_objective_and_gradient,
-    gating_probs,
+    gating_log_probs,
     grow_mixture,
     logsumexp,
     m_step_experts,
@@ -48,21 +48,22 @@ def random_expert_with_bias(bias):
 class TestGating:
     def test_k1_is_one(self):
         gate = GatingModel(np.array([[3.0, -1.0]]))
-        np.testing.assert_array_equal(gating_probs(gate, np.array([1.0, 2.0])), [1.0])
+        np.testing.assert_array_equal(
+            np.exp(gating_log_probs(gate, np.array([1.0, 2.0]))), [1.0])
 
     def test_zero_rows_uniform(self):
         gate = GatingModel(np.zeros((3, 2)))
         np.testing.assert_allclose(
-            gating_probs(gate, np.array([1.0, 5.0])), [1 / 3] * 3, atol=1e-15)
+            np.exp(gating_log_probs(gate, np.array([1.0, 5.0]))), [1 / 3] * 3, atol=1e-15)
 
     def test_closed_form_softmax(self):
         gate = GatingModel(np.array([[np.log(2.0), 0.0], [0.0, 0.0]]))
-        probs = gating_probs(gate, np.array([1.0, 0.0]))
+        probs = np.exp(gating_log_probs(gate, np.array([1.0, 0.0])))
         np.testing.assert_allclose(probs, [2 / 3, 1 / 3], atol=1e-12)
 
     def test_overflow_safe(self):
         gate = GatingModel(np.array([[1000.0, 0.0], [-1000.0, 0.0]]))
-        probs = gating_probs(gate, np.array([1.0, 0.0]))
+        probs = np.exp(gating_log_probs(gate, np.array([1.0, 0.0])))
         assert np.isfinite(probs).all()
         assert abs(probs.sum() - 1.0) < 1e-12
 
@@ -134,7 +135,7 @@ class TestEStep:
         h = e_step(model, data)
         for i in range(10):
             np.testing.assert_allclose(
-                h[i], gating_probs(gate, data.features[i]), atol=1e-12)
+                h[i], np.exp(gating_log_probs(gate, data.features[i])), atol=1e-12)
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(6)
@@ -153,7 +154,7 @@ class TestMStepGate:
         gate = m_step_gate(h, data, lam_gate=0.5)
         np.testing.assert_allclose(gate.theta, 0.0, atol=1e-6)
         np.testing.assert_allclose(
-            gating_probs(gate, data.features[0]), [1 / 3] * 3, atol=1e-6)
+            np.exp(gating_log_probs(gate, data.features[0])), [1 / 3] * 3, atol=1e-6)
 
     def test_k1_returns_zeros(self):
         rng = np.random.default_rng(8)
@@ -250,7 +251,7 @@ class TestEmFit:
         rng = np.random.default_rng(14)
         data, _ = expert_dataset(rng, n=40, d=3, m=2)
         structure = TreeStructure((None, 0, 1))
-        result = em_fit([structure], data, TrainConfig(seed=1), lam=0.5)
+        result = em_fit([structure], data, TrainConfig(seed=1, lam=0.5))
         direct = train_parameters(structure, data, np.ones(40), lam=0.5)
         for a, b in zip(result.model.experts[0].cpds, direct.cpds):
             for ma, mb in zip(a, b):
@@ -268,7 +269,7 @@ class TestEmFit:
                               TreeStructure((None,) * d)]
                 structures += [random_structure(rng, d) for _ in range(k - 2)]
                 result = em_fit(structures, data,
-                                TrainConfig(seed=trial, em_max_iters=25), lam=0.3)
+                                TrainConfig(seed=trial, em_max_iters=25, lam=0.3))
                 trace = np.array(result.objective_trace)
                 assert np.all(np.diff(trace) >= -1e-6)
 
@@ -277,8 +278,8 @@ class TestEmFit:
         data = two_regime_dataset(rng, n=300)
         chain = TreeStructure((None, 0, 1, 2))
         forest = TreeStructure((None, None, None, None))
-        single = em_fit([chain], data, TrainConfig(seed=0), lam=0.1)
-        pair = em_fit([chain, forest], data, TrainConfig(seed=0), lam=0.1)
+        single = em_fit([chain], data, TrainConfig(seed=0, lam=0.1))
+        pair = em_fit([chain, forest], data, TrainConfig(seed=0, lam=0.1))
         assert (observed_log_likelihood(pair.model, data)
                 > observed_log_likelihood(single.model, data))
 
@@ -286,7 +287,7 @@ class TestEmFit:
         rng = np.random.default_rng(17)
         data, _ = expert_dataset(rng, n=10, d=2, m=2)
         with pytest.raises(ArgumentError):
-            em_fit([], data, TrainConfig(), lam=0.5)
+            em_fit([], data, TrainConfig(lam=0.5))
 
 
 class TestTrainConfig:

@@ -8,13 +8,9 @@ import mlme.logreg as logreg
 from conftest import expert_dataset
 from mlme.ctbn import CtbnExpert, TreeStructure, node_log_probs
 from mlme.dataset import Dataset, as_weight_array, holdout_split
+from mlme.errors import ArgumentError
 from mlme.logreg import LinearModel, log_sigmoid, train_columns, train_weighted
-from mlme.structlearn import (
-    WeightedDigraph,
-    build_graph,
-    learn_structure,
-    maximum_branching,
-)
+from mlme.structlearn import build_graph, learn_structure, maximum_branching
 
 
 @lru_cache(maxsize=None)
@@ -42,10 +38,30 @@ def all_parent_maps(d):
     return np.asarray(valid, dtype=np.intp)
 
 
-def brute_force_best_score(graph: WeightedDigraph) -> float:
-    d = graph.d
+def score_matrix(E, S):
+    """Edge scores E (E[j, i] scores j -> i) and no-parent scores S packed
+    as maximum_branching's (d+1, d+1) matrix: row d holds S, and the
+    diagonal and column d are -inf."""
+    d = len(S)
+    W = np.full((d + 1, d + 1), -np.inf)
+    W[:d, :d] = E
+    W[d, :d] = S
+    np.fill_diagonal(W, -np.inf)
+    return W
+
+
+def structure_score(W, structure: TreeStructure) -> float:
+    """Sum of the chosen parent-option scores of a forest; roots read row d."""
+    d = len(W) - 1
+    total = 0.0
+    for i, p in enumerate(structure.parent):
+        total += W[d if p is None else p, i]
+    return float(total)
+
+
+def brute_force_best_score(W) -> float:
+    d = len(W) - 1
     maps = all_parent_maps(d)
-    W = np.vstack([graph.edge_weight, graph.self_weight[None, :]])
     scores = W[maps, np.arange(d)].sum(axis=1)
     return float(scores.max())
 
@@ -58,19 +74,19 @@ def random_graph(rng, d, integer=False):
         E = rng.normal(size=(d, d))
         S = rng.normal(size=d)
     np.fill_diagonal(E, 0.0)
-    return WeightedDigraph(E, S)
+    return score_matrix(E, S)
 
 
 class TestMaximumBranching:
     def test_single_node(self):
-        g = WeightedDigraph(np.zeros((1, 1)), np.array([-1.0]))
+        g = score_matrix(np.zeros((1, 1)), np.array([-1.0]))
         assert maximum_branching(g).parent == (None,)
 
     def test_dominant_self_weights_give_all_roots(self):
         rng = np.random.default_rng(0)
         E = rng.normal(size=(4, 4)) - 10.0
         S = np.zeros(4)
-        g = WeightedDigraph(E, S)
+        g = score_matrix(E, S)
         assert maximum_branching(g).parent == (None,) * 4
 
     def test_matches_brute_force_on_random_graphs(self):
@@ -79,7 +95,7 @@ class TestMaximumBranching:
             d = int(rng.integers(2, 7))
             g = random_graph(rng, d)
             structure = maximum_branching(g)
-            assert g.structure_score(structure) == pytest.approx(
+            assert structure_score(g, structure) == pytest.approx(
                 brute_force_best_score(g), abs=1e-9)
 
     def test_ties_with_integer_weights_still_optimal_and_deterministic(self):
@@ -90,7 +106,7 @@ class TestMaximumBranching:
             s1 = maximum_branching(g)
             s2 = maximum_branching(g)
             assert s1.parent == s2.parent
-            assert g.structure_score(s1) == pytest.approx(
+            assert structure_score(g, s1) == pytest.approx(
                 brute_force_best_score(g), abs=1e-9)
 
     def test_optimal_up_to_d20_by_networkx_oracle(self):
@@ -101,18 +117,18 @@ class TestMaximumBranching:
             g = random_graph(rng, d, integer=trial % 2 == 1)
             full = nx.DiGraph()
             for i in range(d):
-                full.add_edge(d, i, weight=g.self_weight[i])
-                full.add_edges_from((j, i, {"weight": g.edge_weight[j, i]})
+                full.add_edge(d, i, weight=g[d, i])
+                full.add_edges_from((j, i, {"weight": g[j, i]})
                                     for j in range(d) if j != i)
             tree = nx.maximum_spanning_arborescence(full, preserve_attrs=True)
             oracle = sum(w for _, _, w in tree.edges(data="weight"))
-            assert g.structure_score(maximum_branching(g)) == pytest.approx(
+            assert structure_score(g, maximum_branching(g)) == pytest.approx(
                 oracle, abs=1e-9)
 
     def test_no_parent_preferred_at_exact_tie(self):
         E = np.zeros((2, 2))
         S = np.zeros(2)
-        g = WeightedDigraph(E, S)
+        g = score_matrix(E, S)
         assert maximum_branching(g).parent == (None, None)
 
     def test_output_always_acyclic(self):
@@ -133,13 +149,42 @@ class TestMaximumBranching:
         rng = np.random.default_rng(4)
         g = random_graph(rng, 5)
         best = maximum_branching(g)
-        best_score = g.structure_score(best)
+        best_score = structure_score(g, best)
         maps = all_parent_maps(5)
         for _ in range(1000):
             row = maps[rng.integers(maps.shape[0])]
             forest = TreeStructure(tuple(
                 None if p == 5 else int(p) for p in row))
-            assert best_score >= g.structure_score(forest) - 1e-12
+            assert best_score >= structure_score(g, forest) - 1e-12
+
+    @pytest.mark.parametrize("shape", [(3, 4), (4,), (2, 2, 2), (1, 1), (0, 0)])
+    def test_rejects_matrix_of_wrong_shape(self, shape):
+        with pytest.raises(ArgumentError, match="score matrix"):
+            maximum_branching(np.zeros(shape))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("cell", [(0, 1), (2, 0), (3, 2)])
+    def test_rejects_non_finite_edge_or_no_parent_score(self, bad, cell):
+        # (0, 1) and (2, 0) are edges, (3, 2) is node 2's no-parent score
+        W = score_matrix(np.zeros((3, 3)), np.zeros(3))
+        W[cell] = bad
+        with pytest.raises(ArgumentError, match="finite"):
+            maximum_branching(W)
+
+    def test_ignores_diagonal_and_column_d(self):
+        rng = np.random.default_rng(13)
+        for trial in range(100):
+            d = int(rng.integers(1, 7))
+            W = random_graph(rng, d, integer=trial % 2 == 1)
+            want = maximum_branching(W).parent
+            junk = W.copy()
+            fill = rng.choice([np.nan, np.inf, -np.inf, 1e9, 0.0],
+                              size=(d + 1, 2))
+            junk[np.arange(d + 1), np.arange(d + 1)] = fill[:, 0]
+            junk[:, d] = fill[:, 1]
+            before = junk.copy()
+            assert maximum_branching(junk).parent == want
+            assert np.array_equal(junk, before, equal_nan=True)   # not mutated
 
 
 class TestBuildGraph:
@@ -150,16 +195,15 @@ class TestBuildGraph:
         train, _ = expert_dataset(rng, n=10, d=3, m=2)
         holdout = train.subset([0])
         g = build_graph(train, np.zeros(10), holdout, np.ones(1), lam=1.0)
-        off_diag = g.edge_weight[~np.eye(3, dtype=bool)]
+        off_diag = g[:3, :3][~np.eye(3, dtype=bool)]
         np.testing.assert_allclose(off_diag, np.log(0.5), atol=1e-12)
-        np.testing.assert_allclose(g.self_weight, np.log(0.5), atol=1e-12)
+        np.testing.assert_allclose(g[3, :3], np.log(0.5), atol=1e-12)
 
     def test_zero_holdout_weights_zero_graph(self):
         rng = np.random.default_rng(6)
         train, _ = expert_dataset(rng, n=12, d=3, m=2)
         g = build_graph(train, np.ones(12), train, np.zeros(12), lam=0.5)
-        assert np.all(g.edge_weight == 0.0)
-        assert np.all(g.self_weight == 0.0)
+        assert np.array_equal(g, score_matrix(np.zeros((3, 3)), np.zeros(3)))
 
     def test_pair_model_count_d3(self, monkeypatch):
         calls = [0]
@@ -175,8 +219,8 @@ class TestBuildGraph:
         g = build_graph(train, np.ones(20), train, np.ones(20), lam=0.5)
         # d unconditional fits + 2 fits per ordered pair
         assert calls[0] == 3 + 2 * 3 * 2
-        assert g.edge_weight.shape == (3, 3)
-        assert g.self_weight.shape == (3,)
+        assert g.shape == (4, 4)
+        assert np.all(np.isneginf(g.diagonal())) and np.all(np.isneginf(g[:, 3]))
 
 
 def reference_build_graph(train, train_w, holdout, holdout_w, lam):
@@ -222,10 +266,9 @@ class TestBuildGraphReference:
         if zero_holdout:
             who = np.zeros_like(who)
         g = build_graph(train, wtr, hold, who, lam=0.5)
-        for got, want in zip((g.edge_weight, g.self_weight),
-                             reference_build_graph(train, wtr, hold, who, 0.5)):
-            assert np.array_equal(got, want)
-            assert np.array_equal(np.signbit(got), np.signbit(want))
+        want = score_matrix(*reference_build_graph(train, wtr, hold, who, 0.5))
+        assert np.array_equal(g, want)
+        assert np.array_equal(np.signbit(g), np.signbit(want))
 
 
 class TestDecompositionIdentity:
@@ -258,7 +301,7 @@ class TestDecompositionIdentity:
                 lp = np.where(hold.labels[:, i] == 1, log_sigmoid(z),
                               log_sigmoid(-z))
                 direct += float(who @ lp)
-            assert abs(direct - g.structure_score(structure)) < 1e-9
+            assert abs(direct - structure_score(g, structure)) < 1e-9
 
 
 class TestLearnStructure:
@@ -282,7 +325,7 @@ class TestLearnStructure:
         structure = maximum_branching(g)
         assert structure.parent in ((None, 0), (1, None))
         empty = TreeStructure((None, None))
-        assert g.structure_score(structure) > g.structure_score(empty)
+        assert structure_score(g, structure) > structure_score(g, empty)
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(11)
