@@ -145,35 +145,61 @@ class CtbnExpert:
         return (self.param_table() @ x[..., None, :, None])[..., 0]
 
 
-def tree_terms(logits: np.ndarray, parent_index: np.ndarray,
-               Y: np.ndarray) -> np.ndarray:
-    """Per-node terms log P(y_i | x, y_parent(i)) for every (y, expert).
+def check_feature_rows(x, width: int, batch: bool = False) -> np.ndarray:
+    """``x`` as float64, checked: one finite row of ``width``, or N when batch."""
+    X = np.asarray(x, dtype=np.float64)
+    if X.ndim != (2 if batch else 1):
+        want = "an (N, m+1) feature matrix" if batch else "one feature vector"
+        raise ArgumentError(f"expected {want}, got shape {X.shape}")
+    if X.shape[-1] != width:
+        raise ArgumentError(
+            f"feature rows must have m+1 = {width} entries, got {X.shape[-1]}")
+    if not np.all(np.isfinite(X)):
+        raise ArgumentError("feature vector must be finite")
+    return X
 
-    ``Y`` is (..., d) binary and ``parent_index`` is (d,) or (K, d) as in
-    TreeStructure.parent_index; the result has shape Y.shape[:-1] +
-    parent_index.shape.  ``logits`` holds z[i, v], the logit of node i
-    given parent label v (param_table times x), and must broadcast to
-    Y.shape[:-1] + parent_index.shape + (2,).  Roots read a padded label
-    column that is always 0, so they take branch 0.
+
+def check_label_vector(y, d: int) -> np.ndarray:
+    """``y`` as an array, checked to be one vector of d labels, each 0 or 1."""
+    y = np.asarray(y)
+    if y.shape != (d,):
+        raise ArgumentError(
+            f"label vector must have d = {d} entries, got shape {y.shape}")
+    if not np.all((y == 0) | (y == 1)):
+        raise ArgumentError("label values must be 0 or 1")
+    return y
+
+
+def node_term_table(logits: np.ndarray) -> np.ndarray:
+    """(..., d, 2, 2) t[..., i, v, u] = log P(y_i = u | x, parent = v)."""
+    return logistic_log_prob(logits[..., None], np.array([0, 1]))
+
+
+def term_offsets(table: np.ndarray) -> np.ndarray:
+    """Flat index of each node's t[..., i, 0, 0] in a node-term table."""
+    return 4 * np.arange(table.size // 4).reshape(table.shape[:-2])
+
+
+def tree_log_prob(table: np.ndarray, parent_index: np.ndarray, Y: np.ndarray,
+                  offsets: np.ndarray | None = None) -> np.ndarray:
+    """log P(y | x) = sum_i t[i, y_parent(i), y_i] for every (y, expert).
+
+    The row kernel: it gathers each node's term from a node_term_table t and
+    sums the terms in node order, so a row's table, built once, scores many
+    label vectors with no log-sigmoid.  ``Y`` is (..., d) binary and
+    ``parent_index`` (d,) or (K, d) as TreeStructure.parent_index (roots
+    take branch 0); table.shape[:-2] broadcasts with Y.shape[:-1] +
+    parent_index.shape.  ``offsets`` is term_offsets(table), passed by a
+    caller that scores one table many times.
     """
+    if offsets is None:
+        offsets = term_offsets(table)
     Y = np.asarray(Y)
-    d = Y.shape[-1]
-    padded = np.zeros(Y.shape[:-1] + (d + 1,), dtype=np.int8)
+    padded = np.zeros(Y.shape[:-1] + (Y.shape[-1] + 1,), dtype=np.intp)
     padded[..., :-1] = Y
     branch = padded[..., parent_index]
-    z = np.where(branch == 1, logits[..., 1], logits[..., 0])
-    own = Y.reshape(Y.shape[:-1] + (1,) * (parent_index.ndim - 1) + (d,))
-    return logistic_log_prob(z, own)
-
-
-def tree_log_prob(logits: np.ndarray, parent_index: np.ndarray,
-                  Y: np.ndarray) -> np.ndarray:
-    """log P(y | x) = sum_i log P(y_i | x, y_parent(i)) for every (y, expert).
-
-    Arguments are as in tree_terms; the result has shape Y.shape[:-1] +
-    parent_index.shape[:-1].
-    """
-    return node_order_sum(tree_terms(logits, parent_index, Y))
+    own = padded[..., :-1] if parent_index.ndim == 1 else padded[..., None, :-1]
+    return node_order_sum(table.take(offsets + 2 * branch + own))
 
 
 def node_order_sum(terms: np.ndarray) -> np.ndarray:
@@ -185,21 +211,11 @@ def node_order_sum(terms: np.ndarray) -> np.ndarray:
     return 0.0 + np.cumsum(terms, axis=-1)[..., -1]
 
 
-def node_term_table(logits: np.ndarray) -> np.ndarray:
-    """(..., d, 2, 2) table t[..., i, v, u] = log P(y_i = u | x, parent = v).
-
-    ``logits`` is (..., d, 2) as from logit_table; every entry equals the
-    term tree_terms computes for that (v, u), bit for bit.
-    """
-    return logistic_log_prob(logits[..., None], np.array([0, 1]))
-
-
 def joint_log_prob(expert: CtbnExpert, x: np.ndarray, y: Sequence[int]) -> float:
     """log P(y | x) = sum_i log P(y_i | x, y_parent(i)); always <= 0."""
-    y = np.asarray(y)
-    if y.shape != (expert.d,):
-        raise ArgumentError("label vector length does not match expert")
-    return float(tree_log_prob(expert.logit_table(x),
+    x = check_feature_rows(x, expert.n_features)
+    y = check_label_vector(y, expert.d)
+    return float(tree_log_prob(node_term_table(expert.logit_table(x)),
                                expert.structure.parent_index, y))
 
 
@@ -207,13 +223,18 @@ def node_log_probs(params: np.ndarray, parent_index: np.ndarray,
                    data: Dataset) -> np.ndarray:
     """(N, d) per-node terms log P(y_i | x, y_parent(i)) of every instance.
 
-    ``params`` is a (d, 2, m+1) table as from CtbnExpert.param_table and
-    ``parent_index`` as TreeStructure.parent_index; no expert is needed.
+    ``params`` is (d, 2, m+1) as from CtbnExpert.param_table and
+    ``parent_index`` (d,).  The dataset kernel: each row is scored once, so
+    it selects each node's logit by its parent's label before one
+    log-sigmoid (a table takes four), and gives tree_log_prob's terms.
     """
     if params.shape[0] != data.d:
         raise ArgumentError("expert and dataset label counts differ")
     Z = np.einsum("ivp,np->niv", params, data.features)
-    return tree_terms(Z, parent_index, data.labels)
+    padded = np.zeros((data.n, data.d + 1), dtype=np.int8)
+    padded[:, :-1] = data.labels
+    z = np.where(padded[:, parent_index] == 1, Z[..., 1], Z[..., 0])
+    return logistic_log_prob(z, data.labels)
 
 
 def max_sum(table: np.ndarray, structure: TreeStructure) -> np.ndarray:
@@ -249,9 +270,10 @@ def max_sum(table: np.ndarray, structure: TreeStructure) -> np.ndarray:
 
 def exact_map(expert: CtbnExpert, x: np.ndarray) -> tuple[np.ndarray, float]:
     """Exact MAP assignment of one tree via max-sum, with its log-probability."""
-    logits = expert.logit_table(x)
-    y = max_sum(node_term_table(logits)[None], expert.structure)[0]
-    return y, float(tree_log_prob(logits, expert.structure.parent_index, y))
+    x = check_feature_rows(x, expert.n_features)
+    table = node_term_table(expert.logit_table(x))
+    y = max_sum(table[None], expert.structure)[0]
+    return y, float(tree_log_prob(table, expert.structure.parent_index, y))
 
 
 def train_parameters(

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import ctbn
 from .errors import ArgumentError, GuardError
-from .mixture import MixtureModel, gating_log_probs, logsumexp
+from .mixture import MixtureModel, _MixtureScorer
 
 ENUMERATION_GUARD = 20  # enumerate_map refuses label spaces beyond 2^20
 
@@ -41,61 +41,17 @@ class AnnealConfig:
         return 1e-3 ** (1 / self.iterations)
 
 
-class _MixtureScorer:
-    """Node-term tables and log-gates of one feature row or a batch of rows.
+def _start(scorer: _MixtureScorer) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's best per-expert exact MAP assignment and its log-prob.
 
-    Built once per call; after that, the mixture log-probability of one
-    label vector per row is one gather, a node-order sum and a log-sum-exp.
+    Candidates are scored by the mixture; ties go to the first expert.
     """
-
-    def __init__(self, model: MixtureModel, x: np.ndarray, batch: bool = False):
-        X = np.asarray(x, dtype=np.float64)
-        width = model.n_features
-        if X.ndim != (2 if batch else 1):
-            want = "an (N, m+1) feature matrix" if batch else "one feature vector"
-            raise ArgumentError(f"expected {want}, got shape {X.shape}")
-        if X.shape[-1] != width:
-            raise ArgumentError(
-                f"feature rows must have m+1 = {width} entries, got {X.shape[-1]}")
-        if not np.all(np.isfinite(X)):
-            raise ArgumentError("feature vector must be finite")
-        X = X.reshape(-1, width)
-        self.structures = [e.structure for e in model.experts]
-        self.parent_index = np.stack([s.parent_index for s in self.structures])
-        # stacked products keep each row's bits; a plain X @ theta.T does not
-        self.log_gate = gating_log_probs(model.gating, X)   # (n, k)
-        self.table = ctbn.node_term_table(np.stack(
-            [e.logit_table(X) for e in model.experts], axis=1))  # (n, k, d, 2, 2)
-        self._flat = self.table.reshape(-1)
-        self._base = 4 * np.arange(self._flat.size // 4).reshape(self.table.shape[:3])
-
-    def logp_batch(self, Y: np.ndarray) -> np.ndarray:
-        """Mixture log-probability of the label rows of an (M, d) matrix.
-
-        Row r is scored against feature row r; a single-vector scorer
-        scores every row against its one feature vector.
-        """
-        Y = np.asarray(Y)
-        padded = np.zeros(Y.shape[:-1] + (Y.shape[-1] + 1,), dtype=np.intp)
-        padded[..., :-1] = Y
-        branch = padded[..., self.parent_index]           # (M, k, d); roots 0
-        terms = self._flat.take(self._base + 2 * branch + padded[..., None, :-1])
-        return logsumexp(self.log_gate + ctbn.node_order_sum(terms), axis=-1)
-
-    def logp(self, y: np.ndarray) -> float:
-        return float(self.logp_batch(np.asarray(y)[None])[0])
-
-    def start(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each row's best per-expert exact MAP assignment and its log-prob.
-
-        Candidates are scored by the mixture; ties go to the first expert.
-        """
-        candidates = [ctbn.max_sum(self.table[:, j], s)
-                      for j, s in enumerate(self.structures)]
-        scores = np.stack([self.logp_batch(y) for y in candidates], axis=1)
-        pick = np.argmax(scores, axis=1)   # first max, as a strict > scan
-        rows = np.arange(len(pick))
-        return np.stack(candidates, axis=1)[rows, pick], scores[rows, pick]
+    candidates = [ctbn.max_sum(scorer.table[:, j], s)
+                  for j, s in enumerate(scorer.structures)]
+    scores = np.stack([scorer.logp_batch(y) for y in candidates], axis=1)
+    pick = np.argmax(scores, axis=1)   # first max, as a strict > scan
+    rows = np.arange(len(pick))
+    return np.stack(candidates, axis=1)[rows, pick], scores[rows, pick]
 
 
 def _anneal(scorer: _MixtureScorer, cfg: AnnealConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -107,7 +63,7 @@ def _anneal(scorer: _MixtureScorer, cfg: AnnealConfig) -> tuple[np.ndarray, np.n
     function of the state, so each row's stream, and its result, do not
     depend on the rest of the batch.
     """
-    current, cur_lp = scorer.start()
+    current, cur_lp = _start(scorer)
     n, d = current.shape
     best, best_lp = current.copy(), cur_lp.copy()
     rngs = [np.random.default_rng(cfg.seed + r) for r in range(n)]
@@ -129,7 +85,7 @@ def _anneal(scorer: _MixtureScorer, cfg: AnnealConfig) -> tuple[np.ndarray, np.n
 
 def heuristic_init(model: MixtureModel, x: np.ndarray) -> np.ndarray:
     """Best of the per-expert exact MAP assignments, scored by the mixture."""
-    return _MixtureScorer(model, x).start()[0][0]
+    return _start(_MixtureScorer(model, x))[0][0]
 
 
 def map_predict(

@@ -116,11 +116,38 @@ def component_log_prob_matrix(model: MixtureModel, data: Dataset) -> np.ndarray:
         e.param_table(), e.structure.parent_index, data)) for e in model.experts])
 
 
+class _MixtureScorer:
+    """Node-term tables and log-gates of one checked feature row or a batch.
+
+    Built once per call; then a row's mixture log-probability is one
+    ctbn.tree_log_prob gather and a log-sum-exp.
+    """
+
+    def __init__(self, model: MixtureModel, x: np.ndarray, batch: bool = False):
+        X = ctbn.check_feature_rows(x, model.n_features, batch).reshape(
+            -1, model.n_features)
+        self.structures = [e.structure for e in model.experts]
+        self.parent_index = np.stack([s.parent_index for s in self.structures])
+        # stacked products keep each row's bits; a plain X @ theta.T does not
+        self.log_gate = gating_log_probs(model.gating, X)   # (n, k)
+        self.table = ctbn.node_term_table(np.stack(
+            [e.logit_table(X) for e in model.experts], axis=1))  # (n, k, d, 2, 2)
+        self._offsets = ctbn.term_offsets(self.table)
+
+    def logp_batch(self, Y: np.ndarray) -> np.ndarray:
+        """Mixture log-probability of the label rows of an (M, d) matrix.
+
+        Row r is scored against feature row r; a single-vector scorer
+        scores every row against its one feature vector.  ``Y`` is unchecked.
+        """
+        return logsumexp(self.log_gate + ctbn.tree_log_prob(
+            self.table, self.parent_index, Y, self._offsets), axis=-1)
+
+
 def mixture_log_prob(model: MixtureModel, x: np.ndarray, y) -> float:
-    """log sum_k g_k(x) P(y | x, expert_k), evaluated by log-sum-exp."""
-    lg = gating_log_probs(model.gating, x)
-    ll = np.array([ctbn.joint_log_prob(e, x, y) for e in model.experts])
-    return float(logsumexp(lg + ll))
+    """log sum_k g_k(x) P(y | x, expert_k): the scorer's one-row case."""
+    y = ctbn.check_label_vector(y, model.d)
+    return float(_MixtureScorer(model, x).logp_batch(y[None])[0])
 
 
 def instance_log_probs(model: MixtureModel, data: Dataset) -> np.ndarray:

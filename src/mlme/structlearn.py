@@ -148,6 +148,11 @@ def learn_structure(
     holdout_ratio: float = 0.25,
     seed: int = 0,
 ) -> TreeStructure:
-    """Split, score every parent option on the holdout, take the best forest."""
+    """Split, score every parent option on the holdout, take the best forest.
+
+    ``lam``'s strength depends on the mass of ``w``: grow_mixture passes
+    omega (mass 1), while select_lambda, the new expert's fit and EM see
+    mass n, so structure scoring penalizes about n times harder.
+    """
     (train, train_w), (hold, hold_w) = holdout_split(data, w, holdout_ratio, seed)
     return maximum_branching(build_graph(train, train_w, hold, hold_w, lam))

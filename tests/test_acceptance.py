@@ -23,11 +23,11 @@ from mlme.inference import (
     all_label_vectors,
     enumerate_map,
     map_predict,
-    _MixtureScorer,
 )
 from mlme.logreg import objective_and_gradient
 from mlme.mixture import (
     TrainConfig,
+    _MixtureScorer,
     em_fit,
     gate_objective_and_gradient,
     grow_mixture,

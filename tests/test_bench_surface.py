@@ -1,8 +1,9 @@
 """The surface of mlme that bench/ and the README rely on.
 
 The benchmark scripts wrap functions by (module, name), import the program
-as a library, and the README shows a library example; a rename or removal
-in src/ that breaks any of them must fail here, not in a benchmark run.
+as a library and call it by ``mlme.<module>.<name>``, and the README shows a
+library example; a rename or removal in src/ that breaks any of them must
+fail here, not in a benchmark run.
 The bench files are only read and imported, never changed.
 """
 
@@ -31,7 +32,29 @@ def _assigned_literal(path: Path, name: str):
     raise AssertionError(f"{path.name} binds no {name}")
 
 
+def _mlme_names(path: Path) -> list[str]:
+    """Every ``mlme.<...>`` name that ``path`` reads or imports from mlme."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith(
+                "mlme"):
+            names.update(f"{node.module}.{a.name}" for a in node.names)
+        elif isinstance(node, ast.Attribute):
+            parts = [node.attr]
+            value = node.value
+            while isinstance(value, ast.Attribute):
+                parts.append(value.attr)
+                value = value.value
+            if isinstance(value, ast.Name) and value.id == "mlme":
+                names.add(".".join(["mlme", *reversed(parts)]))
+    # mlme.ctbn.exact_map covers mlme.ctbn
+    return sorted(n for n in names
+                  if not any(m.startswith(n + ".") for m in names))
+
+
 TRACED = _assigned_literal(BENCH / "tracing.py", "TRACED_FUNCTIONS")
+USED = [(f, n) for f in ("workloads.py", "generators.py")
+        for n in _mlme_names(BENCH / f)]
 MINIMIZE_COUNTERS = _assigned_literal(BENCH / "tracing.py", "MINIMIZE_COUNTERS")
 
 
@@ -44,6 +67,21 @@ def test_traced_function_resolves(module, function):
 @pytest.mark.parametrize("module", sorted(MINIMIZE_COUNTERS))
 def test_counted_minimize_resolves(module):
     assert callable(getattr(mlme, module).minimize)
+
+
+@pytest.mark.parametrize("path, name", USED, ids=[n for _, n in USED])
+def test_bench_name_resolves(path, name):
+    # a name read only inside a bench check would otherwise fail in a run
+    target = mlme
+    for part in name.split(".")[1:]:
+        assert hasattr(target, part), f"bench/{path} uses {name}"
+        target = getattr(target, part)
+
+
+def test_bench_names_cover_the_checks():
+    assert {"mlme.mixture.mixture_log_prob", "mlme.inference.enumerate_map",
+            "mlme.ctbn.exact_map", "mlme.mixture.instance_log_probs",
+            "mlme.ctbn.TreeStructure"} <= {n for _, n in USED}
 
 
 def test_bench_modules_import_and_tracer_installs():

@@ -13,9 +13,9 @@ from mlme.ctbn import (
     node_log_probs,
     node_order_sum,
     node_term_table,
+    term_offsets,
     train_parameters,
     tree_log_prob,
-    tree_terms,
 )
 from mlme.dataset import Dataset
 from mlme.errors import ArgumentError
@@ -76,23 +76,30 @@ class TestTreeLogProb:
         want = np.array([[loop_tree_log_prob(logits[k], structures[k].parent, y)
                           for k in range(K)] for y in Y])
 
-        # N label vectors against K stacked experts
-        got = tree_log_prob(logits, parents, Y)
+        # N label vectors against K stacked experts' node-term tables
+        table = node_term_table(logits)
+        got = tree_log_prob(table, parents, Y)
         assert got.shape == (N, K)
         assert_same_bits(got, want)
+        assert_same_bits(tree_log_prob(table, parents, Y, term_offsets(table)),
+                         want)
         for n in range(N):  # one label vector against K experts
-            assert_same_bits(tree_log_prob(logits, parents, Y[n]), want[n])
-        for k, s in enumerate(structures):  # per-row logits, one expert
-            rows = np.broadcast_to(logits[k], (N, d, 2))
+            assert_same_bits(tree_log_prob(table, parents, Y[n]), want[n])
+        for k, s in enumerate(structures):  # per-row tables, one expert
+            rows = np.broadcast_to(table[k], (N, d, 2, 2))
             assert_same_bits(tree_log_prob(rows, s.parent_index, Y), want[:, k])
-            assert_same_bits(tree_log_prob(logits[k], s.parent_index, Y[0]),
+            assert_same_bits(tree_log_prob(table[k], s.parent_index, Y[0]),
                              want[0, k])
 
-        # the per-node terms the sum is made of, (N, K, d) and (K, d)
-        want_terms = np.array([[loop_tree_terms(logits[k], structures[k].parent, y)
-                                for k in range(K)] for y in Y])
-        assert_same_bits(tree_terms(logits, parents, Y), want_terms)
-        assert_same_bits(tree_terms(logits, parents, Y[0]), want_terms[0])
+        # the dataset kernel's per-node terms, (N, d) per expert; with one
+        # constant feature its logits are exactly these
+        data = Dataset(np.ones((N, 1)), Y)
+        for k, s in enumerate(structures):
+            want_terms = np.array([loop_tree_terms(logits[k], s.parent, y)
+                                   for y in Y])
+            got_terms = node_log_probs(logits[k][..., None], s.parent_index, data)
+            assert_same_bits(got_terms, want_terms)
+            assert_same_bits(node_order_sum(got_terms), want[:, k])
 
 
 class TestTreeStructure:
@@ -276,16 +283,20 @@ class TestMaxSum:
         assert max_sum(table, structure).tolist() == [[0] * 5] * 6
 
     def test_table_entries_equal_tree_terms(self):
+        # the dataset kernel's terms are the entries the row kernel gathers
         rng = np.random.default_rng(33)
         expert = random_expert(rng, d=6, m=2, scale=400.0)
         logits = expert.logit_table(random_x(rng, 2))
         table = node_term_table(logits)
-        for y in all_label_vectors(6):
-            terms = tree_terms(logits, expert.structure.parent_index, y)
+        Y = all_label_vectors(6)
+        # one constant feature: the dataset kernel's logits are exactly these
+        terms = node_log_probs(logits[..., None], expert.structure.parent_index,
+                               Dataset(np.ones((len(Y), 1)), Y))
+        for y, row in zip(Y, terms):
             padded = np.append(y, 0)
             for i, p in enumerate(expert.structure.parent_index):
                 got = table[i, padded[p], y[i]]
-                assert got.tobytes() == terms[i].tobytes()
+                assert got.tobytes() == row[i].tobytes()
 
 
 def assert_same_objective(model, direct, X, t, w):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_expert, random_mixture, random_x
-from mlme.ctbn import exact_map
+from mlme.ctbn import exact_map, joint_log_prob
 from mlme.errors import ArgumentError, GuardError
 from mlme.inference import (
     AnnealConfig,
@@ -13,12 +13,12 @@ from mlme.inference import (
     heuristic_init,
     map_predict,
     predict_dataset,
-    _MixtureScorer,
 )
 from mlme.logreg import LinearModel
 from mlme.mixture import (
     GatingModel,
     MixtureModel,
+    _MixtureScorer,
     gating_log_probs,
     logsumexp,
     mixture_log_prob,
@@ -193,15 +193,25 @@ class TestEnumerateMap:
         assert as_tuples == sorted(as_tuples)
 
 
+def scorer_logp(scorer, y):
+    """Mixture log-probability of one label vector against a one-row scorer."""
+    return float(scorer.logp_batch(np.asarray(y)[None])[0])
+
+
 class TestScorer:
     def test_scorer_matches_mixture_log_prob(self):
+        # mixture_log_prob is the scorer's one-row case; both equal a
+        # log-sum-exp over the experts' own joint_log_prob sums
         rng = np.random.default_rng(11)
         for _ in range(20):
             model = random_mixture(rng, k=3, d=5, m=3)
             x = random_x(rng, 3)
             scorer = _MixtureScorer(model, x)
             y = rng.integers(0, 2, size=5)
-            assert scorer.logp(y) == mixture_log_prob(model, x, y)
+            want = float(logsumexp(gating_log_probs(model.gating, x) + np.array(
+                [joint_log_prob(e, x, y) for e in model.experts])))
+            assert scorer_logp(scorer, y) == want
+            assert mixture_log_prob(model, x, y) == want
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(12)
@@ -211,7 +221,8 @@ class TestScorer:
         Y = all_label_vectors(6)
         batch = scorer.logp_batch(Y)
         for i in range(0, 64, 7):
-            assert batch[i] == pytest.approx(scorer.logp(Y[i]), abs=1e-12)
+            assert batch[i] == pytest.approx(
+                mixture_log_prob(model, x, Y[i]), abs=1e-12)
 
 
 class TestPredictDataset:
@@ -244,15 +255,16 @@ def reference_predict(model, X, cfg):
     for i, x in enumerate(X):
         scorer = _MixtureScorer(model, x)
         candidates = [exact_map(expert, x)[0] for expert in model.experts]
-        current = candidates[int(np.argmax([scorer.logp(y) for y in candidates]))]
-        cur_lp = scorer.logp(current)
+        current = candidates[int(np.argmax([scorer_logp(scorer, y)
+                                            for y in candidates]))]
+        cur_lp = scorer_logp(scorer, current)
         best, best_lp = current.copy(), cur_lp
         rng = np.random.default_rng(cfg.seed + i)
         temperature = 1.0
         for _ in range(cfg.iterations):
             proposal = current.copy()
             proposal[int(rng.integers(model.d))] ^= 1
-            lp = scorer.logp(proposal)
+            lp = scorer_logp(scorer, proposal)
             if lp > best_lp:
                 best, best_lp = proposal.copy(), lp
             delta = lp - cur_lp

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.special
@@ -10,16 +12,17 @@ from conftest import (
     random_x,
     two_regime_dataset,
 )
-from mlme import logreg
-from mlme.ctbn import TreeStructure, joint_log_prob, train_parameters
+from mlme import logreg, mixture
+from mlme.ctbn import TreeStructure, exact_map, joint_log_prob, train_parameters
 from mlme.dataset import Dataset
 from mlme.errors import ArgumentError
-from mlme.inference import all_label_vectors, _MixtureScorer
+from mlme.inference import all_label_vectors
 from mlme.logreg import LinearModel
 from mlme.mixture import (
     GatingModel,
     MixtureModel,
     TrainConfig,
+    _MixtureScorer,
     e_step,
     em_fit,
     gate_objective_and_gradient,
@@ -107,6 +110,70 @@ class TestMixtureLogProb:
             y = rng.integers(0, 2, size=4)
             assert abs(mixture_log_prob(model, x, y)
                        - mixture_log_prob(permuted, x, y)) < 1e-12
+
+
+class TestRowChecks:
+    """Every entry point that scores one row checks it once, up front."""
+
+    @pytest.fixture
+    def case(self):
+        rng = np.random.default_rng(40)
+        model = random_mixture(rng, k=3, d=6, m=4)
+        return model, random_x(rng, 4)
+
+    @staticmethod
+    def scorers(model, x, y):
+        return (lambda: mixture_log_prob(model, x, y),
+                lambda: joint_log_prob(model.experts[0], x, y))
+
+    @pytest.mark.parametrize("bad", [
+        [2, 0, 0, 0, 0, 0], [-1, 0, 0, 0, 0, 0], [0.5] * 6, [np.nan] * 6])
+    def test_labels_outside_0_1_rejected(self, case, bad):
+        model, x = case
+        for call in self.scorers(model, x, bad):
+            with pytest.raises(ArgumentError, match="0 or 1"):
+                call()
+
+    @pytest.mark.parametrize("length", [0, 5, 7])
+    def test_label_length_rejected(self, case, length):
+        model, x = case
+        for call in self.scorers(model, x, np.zeros(length, dtype=np.int8)):
+            with pytest.raises(ArgumentError, match="d = 6"):
+                call()
+        for call in self.scorers(model, x, np.zeros((1, 6), dtype=np.int8)):
+            with pytest.raises(ArgumentError, match="d = 6"):
+                call()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_row_rejected_without_warnings(self, case, bad):
+        model, x = case
+        x = x.copy()
+        x[2] = bad
+        y = np.zeros(6, dtype=np.int8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (*self.scorers(model, x, y),
+                         lambda: exact_map(model.experts[0], x)):
+                with pytest.raises(ArgumentError, match="finite"):
+                    call()
+
+    @pytest.mark.parametrize("width", [4, 6])
+    def test_row_width_rejected(self, case, width):
+        model, _ = case
+        x = np.ones(width)
+        y = np.zeros(6, dtype=np.int8)
+        for call in (*self.scorers(model, x, y),
+                     lambda: exact_map(model.experts[0], x)):
+            with pytest.raises(ArgumentError, match=f"m\\+1 = 5.*got {width}"):
+                call()
+
+    def test_valid_label_vectors_score_alike(self, case):
+        model, x = case
+        want = mixture_log_prob(model, x, np.array([1, 0, 1, 1, 0, 0], np.int8))
+        for y in ([1, 0, 1, 1, 0, 0], np.array([1, 0, 1, 1, 0, 0]),
+                  np.array([True, False, True, True, False, False]),
+                  np.array([1.0, 0.0, 1.0, 1.0, 0.0, 0.0])):
+            assert mixture_log_prob(model, x, y) == want
 
 
 class TestEStep:
@@ -368,6 +435,50 @@ class TestGrowMixture:
                 for ma, mb in zip(ca, cb):
                     np.testing.assert_array_equal(ma.params, mb.params)
         assert a.meta == b.meta
+
+    def test_weight_mass_of_each_fit(self, monkeypatch):
+        # structure scoring gets omega (mass 1); the new-expert fit and EM
+        # get mass n; select_lambda fits on unit weights
+        masses = {"structure": [], "new_expert": [], "em": [], "lambda": []}
+        in_select = []
+
+        def wrap(name, fn, record):
+            def wrapped(*args, **kwargs):
+                record(*args, **kwargs)
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(mixture, name, wrapped)
+
+        wrap("learn_structure", mixture.learn_structure,
+             lambda data, w, *a, **k: masses["structure"].append(
+                 (np.sum(w), 1.0)))
+        wrap("train_parameters", mixture.train_parameters,
+             lambda s, data, w, *a, **k: masses["new_expert"].append(
+                 (np.sum(w), data.n)))
+        wrap("m_step_experts", mixture.m_step_experts,
+             lambda h, data, *a, **k: masses["em"].append((np.sum(h), data.n)))
+        select_lambda, train_columns = mixture.select_lambda, logreg.train_columns
+
+        def selecting(*args, **kwargs):
+            in_select.append(True)
+            try:
+                return select_lambda(*args, **kwargs)
+            finally:
+                in_select.pop()
+
+        def columns(X, T, W, *args, **kwargs):
+            if in_select:
+                masses["lambda"].append((np.sum(W), W.size))
+            return train_columns(X, T, W, *args, **kwargs)
+
+        monkeypatch.setattr(mixture, "select_lambda", selecting)
+        monkeypatch.setattr(logreg, "train_columns", columns)
+        data = two_regime_dataset(np.random.default_rng(21), n=120)
+        grow_mixture(data, TrainConfig(max_experts=2, lambda_grid=(0.1, 1.0),
+                                       em_max_iters=3, seed=4))
+        for kind, pairs in masses.items():
+            assert pairs, kind
+            for got, want in pairs:
+                assert got == pytest.approx(want, rel=1e-12), kind
 
     def test_rejects_tiny_datasets(self):
         data = Dataset.from_raw(np.zeros((3, 1)), np.zeros((3, 1), dtype=int))
