@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 import time
 import warnings
@@ -58,12 +57,7 @@ def _add_train_args(p):
     p.add_argument("--lambda-grid", type=_float_list, default=absent,
                    help="comma-separated L2 grid (default "
                         f"{','.join(f'{g:g}' for g in DEFAULT_LAMBDA_GRID)})")
-    p.add_argument("--lambda-gate", dest="lam_gate", metavar="LAMBDA_GATE",
-                   type=float, default=absent)
-    p.add_argument("--holdout-ratio", type=float, default=absent)
-    p.add_argument("--internal-test-ratio", type=float, default=absent)
     p.add_argument("--em-max-iters", type=int, default=absent)
-    p.add_argument("--em-tol", type=float, default=absent)
     p.add_argument("--no-standardize", action="store_true",
                    help="disable per-feature z-scoring")
 
@@ -94,8 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--label-names", default=None)
     p.add_argument("--out", required=True, help="output prediction CSV")
     _add_anneal_args(p)
-    p.add_argument("--no-logprob", action="store_true",
-                   help="omit the per-instance log-probability column")
 
     p = sub.add_parser("evaluate", help="score a saved model on labeled data")
     p.add_argument("--model", required=True)
@@ -147,13 +139,6 @@ def cmd_train(args) -> int:
         data = scaler.transform(data)
     model = grow_mixture(data, config)
     save_model(model, args.out, scaler)
-    log = {
-        "accepted_k": model.k,
-        "lambda": model.meta.get("lambda"),
-        "growth": model.meta.get("growth"),
-    }
-    atomic_write_text(f"{args.out}.log.json",
-                      json.dumps(log, indent=2, sort_keys=True) + "\n")
     print(f"trained mixture with {model.k} expert(s); model -> {args.out}")
     return 0
 
@@ -186,12 +171,8 @@ def cmd_predict(args) -> int:
     if scaler is not None:
         features = scaler.transform_features(features)
     preds, logps = predict_dataset(model, features, cfg)
-    lines = []
-    for i in range(preds.shape[0]):
-        cells = [str(int(v)) for v in preds[i]]
-        if not args.no_logprob:
-            cells.append(repr(float(logps[i])))
-        lines.append(",".join(cells))
+    lines = [",".join([str(int(v)) for v in preds[i]] + [repr(float(logps[i]))])
+             for i in range(preds.shape[0])]
     atomic_write_text(args.out, "\n".join(lines) + "\n")
     print(f"wrote {preds.shape[0]} predictions -> {args.out}")
     return 0

@@ -43,12 +43,6 @@ def exact_match_accuracy(preds, truth) -> float:
     return float(np.all(preds == truth, axis=1).mean())
 
 
-def hamming_accuracy(preds, truth) -> float:
-    """Per-label accuracy averaged over all cells; upper-bounds exact match."""
-    preds, truth = _check_shapes(preds, truth)
-    return float((preds == truth).mean())
-
-
 def _f1(tp: float, fp: float, fn: float) -> float:
     denom = 2 * tp + fp + fn
     if denom == 0:

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ctbn
-from .errors import ArgumentError, GuardError
+from .errors import GuardError
+from .logreg import check_count
 from .mixture import MixtureModel, _MixtureScorer
 
 ENUMERATION_GUARD = 20  # enumerate_map refuses label spaces beyond 2^20
@@ -30,10 +31,8 @@ class AnnealConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.iterations < 1:
-            raise ArgumentError("iterations must be >= 1")
-        if self.seed < 0:
-            raise ArgumentError("seed must be >= 0")
+        check_count(self.iterations, "iterations", 1)
+        check_count(self.seed, "seed", 0)
 
     @property
     def cooling_rate(self) -> float:

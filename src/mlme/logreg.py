@@ -15,6 +15,7 @@ L-BFGS-B there too.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -37,6 +38,16 @@ def check_finite_nonnegative(value, name: str) -> None:
     """Raise ArgumentError naming ``name`` unless ``value`` is finite and >= 0."""
     if not (math.isfinite(value) and value >= 0):
         raise ArgumentError(f"{name} must be finite and >= 0, got {value}")
+
+
+def check_count(value, name: str, minimum: int) -> None:
+    """Raise ArgumentError naming ``name`` unless ``value`` is an integer >= minimum.
+
+    Any numbers.Integral but bool passes, so numpy integers do too.
+    """
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < minimum):
+        raise ArgumentError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 @dataclass(frozen=True)

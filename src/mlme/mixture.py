@@ -20,11 +20,15 @@ from .errors import ArgumentError, EmMonotonicityError
 from .logreg import (
     DEFAULT_LAMBDA_GRID,
     EM_MSTEP_MAXITER,
+    check_count,
     check_finite_nonnegative,
     minimize,
     select_lambda,
 )
 from .structlearn import learn_structure
+
+INTERNAL_TEST_RATIO = 0.2  # share of the data that decides when growth stops
+EM_TOL = 1e-5              # EM stops below this relative objective improvement
 
 
 @dataclass(frozen=True)
@@ -263,37 +267,25 @@ class TrainConfig:
     """Knobs for EM fitting and mixture growth."""
 
     max_experts: int = 5
-    lam: Optional[float] = None              # CPD/edge L2; None -> pick from grid
+    lam: Optional[float] = None              # CPD, edge and gate L2; None -> grid
     lambda_grid: tuple[float, ...] = DEFAULT_LAMBDA_GRID
-    lam_gate: Optional[float] = None         # None -> same as lam
-    holdout_ratio: float = 0.25              # structure-scoring split
-    internal_test_ratio: float = 0.2         # growth stopping split
-    em_tol: float = 1e-5                     # relative objective improvement
     em_max_iters: int = 100
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_experts < 1:
-            raise ArgumentError("max_experts must be >= 1")
-        if self.em_max_iters < 1:
-            raise ArgumentError("em_max_iters must be >= 1")
-        for name in ("lam", "lam_gate"):
-            if getattr(self, name) is not None:
-                check_finite_nonnegative(getattr(self, name), name)
-        check_finite_nonnegative(self.em_tol, "em_tol")
+        check_count(self.max_experts, "max_experts", 1)
+        check_count(self.em_max_iters, "em_max_iters", 1)
+        check_count(self.seed, "seed", 0)
+        if self.lam is not None:
+            check_finite_nonnegative(self.lam, "lam")
         if not self.lambda_grid:
             raise ArgumentError("lambda_grid must be nonempty")
         for lam in self.lambda_grid:
             check_finite_nonnegative(lam, "every lambda_grid value")
-        for name in ("holdout_ratio", "internal_test_ratio"):
-            if not 0.0 < getattr(self, name) < 1.0:
-                raise ArgumentError(f"{name} must be in (0, 1)")
-        if self.seed < 0:
-            raise ArgumentError("seed must be >= 0")
 
     def to_dict(self) -> dict:
         doc = asdict(self)
-        doc["lambda"], doc["lambda_gate"] = doc.pop("lam"), doc.pop("lam_gate")
+        doc["lambda"] = doc.pop("lam")
         doc["lambda_grid"] = list(self.lambda_grid)
         return doc
 
@@ -309,13 +301,12 @@ def _tagged_seed(base: int, *tags: int) -> int:
     return int(np.random.SeedSequence(base, spawn_key=tags).generate_state(1)[0])
 
 
-def _resolve_lambdas(data, config):
+def _resolve_lambda(data, config) -> float:
     lam = config.lam
     if lam is None:
         lam = select_lambda(data, config.lambda_grid,
                             seed=_tagged_seed(config.seed, 0))
-    lam_gate = config.lam_gate if config.lam_gate is not None else lam
-    return float(lam), float(lam_gate)
+    return float(lam)
 
 
 def em_fit(
@@ -327,11 +318,11 @@ def em_fit(
 ) -> EmResult:
     """Generalised EM on fixed structures: alternate E- and M-steps.
 
-    The L2 strengths are ``config.lam`` and ``config.lam_gate``, chosen as
-    TrainConfig documents when None.  The trace records the regularized
-    observed log-likelihood after the initialization and after every EM
-    iteration; it must never decrease by more than 1e-6 (anything larger
-    is an internal-consistency failure).
+    One L2 strength, ``config.lam`` (picked from ``config.lambda_grid``
+    when None), penalizes every CPD and the gate.  The trace records the
+    regularized observed log-likelihood after the initialization and after
+    every EM iteration; it must never decrease by more than 1e-6 (anything
+    larger is an internal-consistency failure).
     Initialization: ``init_responsibilities`` triggers an immediate M-step
     from those assignments (warm-starting optimizers from ``init_model`` if
     given); otherwise ``init_model`` is used as-is; otherwise a first M-step
@@ -344,7 +335,7 @@ def em_fit(
     raise the expected complete-data objective, and since no column of a
     solve ends above its start (logreg.minimize), the trace cannot fall.
     The loop stops when an iteration improves the objective by less than
-    ``em_tol`` relative, or after ``em_max_iters`` iterations.
+    EM_TOL relative, or after ``config.em_max_iters`` iterations.
 
     With K=1 every responsibility is 1 (any ``init_responsibilities`` are
     replaced by ones), so one converged M-step is the whole fit: from
@@ -355,12 +346,12 @@ def em_fit(
     if not structures:
         raise ArgumentError("need at least one structure")
     K = len(structures)
-    lam, lam_gate = _resolve_lambdas(data, config)
+    lam = _resolve_lambda(data, config)
     if init_model is not None and init_model.k != K:
         raise ArgumentError("init_model expert count must match structures")
 
     def m_step(h, warm, maxiter=None):
-        gate = m_step_gate(h, data, lam_gate,
+        gate = m_step_gate(h, data, lam,
                            None if warm is None else warm.gating, maxiter)
         experts = m_step_experts(h, data, structures, lam,
                                  None if warm is None else warm.experts, maxiter)
@@ -390,19 +381,19 @@ def em_fit(
         n_iters, cap = config.em_max_iters, EM_MSTEP_MAXITER
     # each iterate is scored once: L gives its objective and the next E-step
     L = component_log_prob_matrix(model, data)
-    obj = _objective(L, model, lam_gate)
+    obj = _objective(L, model, lam)
     trace = [obj]
     for _ in range(n_iters):
         model = m_step(_posteriors(L), model, cap)
         L = component_log_prob_matrix(model, data)
-        new_obj = _objective(L, model, lam_gate)
+        new_obj = _objective(L, model, lam)
         if new_obj < obj - 1e-6:
             raise EmMonotonicityError(
                 f"EM objective decreased from {obj:.9f} to {new_obj:.9f}")
         trace.append(new_obj)
         improved = new_obj - obj
         obj = new_obj
-        if improved < config.em_tol * max(1.0, abs(obj)):
+        if improved < EM_TOL * max(1.0, abs(obj)):
             break
     return EmResult(model, tuple(trace))
 
@@ -420,11 +411,10 @@ def grow_mixture(data: Dataset, config: TrainConfig = TrainConfig()) -> MixtureM
     """
     if data.n < 5:
         raise ArgumentError("mixture growth needs at least 5 instances")
-    lam, lam_gate = _resolve_lambdas(data, config)
-    em_config = replace(config, lam=lam, lam_gate=lam_gate)
+    lam = _resolve_lambda(data, config)
+    em_config = replace(config, lam=lam)
     (itr, _), (ite, _) = holdout_split(
-        data, np.ones(data.n), config.internal_test_ratio,
-        _tagged_seed(config.seed, 2))
+        data, np.ones(data.n), INTERNAL_TEST_RATIO, _tagged_seed(config.seed, 2))
 
     omega = np.full(itr.n, 1.0 / itr.n)
     margins: Optional[np.ndarray] = None
@@ -434,9 +424,8 @@ def grow_mixture(data: Dataset, config: TrainConfig = TrainConfig()) -> MixtureM
     rounds = []
 
     for k in range(1, config.max_experts + 1):
-        structure = learn_structure(
-            itr, omega, lam, config.holdout_ratio,
-            seed=_tagged_seed(config.seed, 3, k))
+        structure = learn_structure(itr, omega, lam,
+                                    seed=_tagged_seed(config.seed, 3, k))
         if current is None:
             init = None
             init_h = None
@@ -485,7 +474,6 @@ def grow_mixture(data: Dataset, config: TrainConfig = TrainConfig()) -> MixtureM
         "d": data.d,
         "k": len(accepted),
         "lambda": lam,
-        "lambda_gate": lam_gate,
         "config": config.to_dict(),
         "growth": {
             "rounds": rounds,

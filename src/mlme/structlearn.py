@@ -17,6 +17,8 @@ from .dataset import Dataset, as_weight_array, holdout_split
 from .errors import ArgumentError
 from .logreg import train_columns
 
+HOLDOUT_RATIO = 0.25  # share of the data that scores the parent options
+
 
 def build_graph(
     train: Dataset,
@@ -145,14 +147,16 @@ def learn_structure(
     data: Dataset,
     w,
     lam: float,
-    holdout_ratio: float = 0.25,
     seed: int = 0,
 ) -> TreeStructure:
     """Split, score every parent option on the holdout, take the best forest.
+
+    A seeded HOLDOUT_RATIO share of the rows is the holdout; build_graph
+    fits on the rest.
 
     ``lam``'s strength depends on the mass of ``w``: grow_mixture passes
     omega (mass 1), while select_lambda, the new expert's fit and EM see
     mass n, so structure scoring penalizes about n times harder.
     """
-    (train, train_w), (hold, hold_w) = holdout_split(data, w, holdout_ratio, seed)
+    (train, train_w), (hold, hold_w) = holdout_split(data, w, HOLDOUT_RATIO, seed)
     return maximum_branching(build_graph(train, train_w, hold, hold_w, lam))

@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import json
 import warnings
 
@@ -40,8 +42,9 @@ class TestTrainPredict:
         assert run(["train", "--data", toy_csv, "--labels", 2,
                     "--out", model_path, "--max-experts", 1,
                     "--lambda", 0.5, "--seed", 1]) == 0
-        assert model_path.exists()
-        assert (tmp_path / "model.json.log.json").exists()
+        # the model file is the only output; its meta holds the growth log
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "model.json", "toy.csv"]
         assert run(["predict", "--model", model_path, "--data", toy_csv,
                     "--out", preds_path, "--anneal-iters", 20]) == 0
         lines = preds_path.read_text().strip().splitlines()
@@ -154,14 +157,17 @@ class TestTrainPredict:
         ("flag-lambda-grid-overflow", "argument"),
         ("flag-lambda-inf", "argument"),
         ("flag-lambda-nan", "argument"),
-        ("flag-lambda-gate-negative", "argument"),
-        ("flag-em-tol-nan", "argument"),
-        ("flag-holdout-ratio-one", "argument"),
+        ("flag-lambda-gate-removed", "argument"),
+        ("flag-em-tol-removed", "argument"),
+        ("flag-holdout-ratio-removed", "argument"),
+        ("flag-internal-test-ratio-removed", "argument"),
+        ("flag-em-max-iters-zero", "argument"),
         ("flag-lambda-words", "argument"),
         ("flag-unknown", "argument"),
         ("flag-seed-negative", "argument"),
         ("predict-anneal-iters-fraction", "argument"),
         ("predict-seed-negative", "argument"),
+        ("predict-no-logprob-removed", "argument"),
         ("train-without-data", "argument"),
         ("no-subcommand", "argument"),
         ("missing-data-train-seed-negative", "argument"),
@@ -201,16 +207,21 @@ class TestTrainPredict:
                     "flag-lambda-grid-overflow": ["--lambda-grid", "1,1e400"],
                     "flag-lambda-inf": ["--lambda", "inf"],
                     "flag-lambda-nan": ["--lambda", "nan"],
-                    "flag-lambda-gate-negative": ["--lambda-gate", "-1"],
-                    "flag-em-tol-nan": ["--em-tol", "nan"],
-                    "flag-holdout-ratio-one": ["--holdout-ratio", "1"],
+                    # removed flags: a value that was once valid still fails
+                    "flag-lambda-gate-removed": ["--lambda-gate", "0.5"],
+                    "flag-em-tol-removed": ["--em-tol", "1e-4"],
+                    "flag-holdout-ratio-removed": ["--holdout-ratio", "0.25"],
+                    "flag-internal-test-ratio-removed":
+                        ["--internal-test-ratio", "0.2"],
+                    "flag-em-max-iters-zero": ["--em-max-iters", "0"],
                     "flag-lambda-words": ["--lambda", "abc"],
                     "flag-unknown": ["--no-such-flag"],
                     "flag-seed-negative": ["--seed", "-1"]}[case]
             args = ["train", "--data", toy_csv, "--labels", 2] + flag
         elif case.startswith("predict-"):
             args += {"predict-anneal-iters-fraction": ["--anneal-iters", "1.5"],
-                     "predict-seed-negative": ["--seed", "-1"]}[case]
+                     "predict-seed-negative": ["--seed", "-1"],
+                     "predict-no-logprob-removed": ["--no-logprob"]}[case]
         elif case.startswith("missing-"):
             # a bad flag is reported before any file is opened
             gone = tmp_path / "missing.json"
@@ -254,6 +265,8 @@ class TestTrainPredict:
         assert err.startswith(f"mlme: error[{code}]")
         if code == "parse":
             assert "row 2" in err
+        if case.endswith("-removed"):
+            assert "unrecognized arguments" in err
         assert len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
 
@@ -280,15 +293,25 @@ class TestTrainPredict:
     def test_every_flag_reaches_its_config_field(self):
         args = build_parser().parse_args([
             "cv", "--data", "d.csv", "--out", "r.json", "--max-experts", "3",
-            "--lambda", "0.5", "--lambda-grid", "0.1,,2", "--lambda-gate", "0.25",
-            "--holdout-ratio", "0.3", "--internal-test-ratio", "0.1",
-            "--em-max-iters", "7", "--em-tol", "1e-4", "--anneal-iters", "25",
-            "--seed", "4"])
+            "--lambda", "0.5", "--lambda-grid", "0.1,,2", "--em-max-iters", "7",
+            "--anneal-iters", "25", "--seed", "4"])
         assert _config(TrainConfig, args) == TrainConfig(
-            max_experts=3, lam=0.5, lambda_grid=(0.1, 2.0), lam_gate=0.25,
-            holdout_ratio=0.3, internal_test_ratio=0.1, em_max_iters=7,
-            em_tol=1e-4, seed=4)
+            max_experts=3, lam=0.5, lambda_grid=(0.1, 2.0), em_max_iters=7, seed=4)
         assert _config(AnnealConfig, args) == AnnealConfig(iterations=25, seed=4)
+
+    def test_every_dest_is_a_config_field_or_cli_only(self):
+        # _config drops a flag that names no field, so a flag must name one
+        # or be read by the command itself
+        cli_only = {"help", "data", "labels", "arff", "label_names", "model",
+                    "out", "folds", "no_standardize"}
+        fields = {f.name for cls in (TrainConfig, AnnealConfig)
+                  for f in dataclasses.fields(cls)}
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert sorted(sub.choices) == ["cv", "evaluate", "predict", "train"]
+        for name, parser in sub.choices.items():
+            for action in parser._actions:
+                assert action.dest in fields | cli_only, (name, action.dest)
 
     def test_missing_file_reports_io_error(self, tmp_path, capsys):
         rc = run(["predict", "--model", tmp_path / "nope.json",
@@ -342,7 +365,8 @@ class TestDeterminism:
         assert path.read_bytes() == path2.read_bytes()
 
     def test_model_with_optimizer_block_still_predicts(self):
-        # model files once carried the L-BFGS settings in meta.config
+        # model files once carried the L-BFGS settings, the gate's λ, both
+        # split ratios and the EM tolerance in meta
         rng = np.random.default_rng(2)
         data = two_regime_dataset(rng, n=60)
         doc = model_to_dict(grow_mixture(data, TrainConfig(max_experts=2, lam=0.3,
@@ -350,6 +374,9 @@ class TestDeterminism:
         old = json.loads(json.dumps(doc))
         old["meta"]["config"]["optimizer"] = {
             "max_iterations": 500, "gradient_tolerance": 1e-6, "memory": 10}
+        old["meta"]["lambda_gate"] = old["meta"]["lambda"]
+        old["meta"]["config"].update(lambda_gate=None, holdout_ratio=0.25,
+                                     internal_test_ratio=0.2, em_tol=1e-5)
         cfg = AnnealConfig(iterations=30, seed=6)
         outputs = []
         for d in (doc, old):

@@ -45,6 +45,14 @@ class TestAnnealConfig:
         with pytest.raises(ArgumentError):
             AnnealConfig(iterations=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("iterations", 2.5), ("iterations", True),
+        ("seed", -1), ("seed", 1.5), ("seed", None),
+    ])
+    def test_rejects_non_integral_or_negative(self, field, value):
+        with pytest.raises(ArgumentError, match=field):
+            AnnealConfig(**{field: value})
+
 
 class TestHeuristicInit:
     def test_k1_equals_exact_map(self):

@@ -360,31 +360,29 @@ class TestEmFit:
 class TestTrainConfig:
     @pytest.mark.parametrize("field, value", [
         ("lam", -1.0), ("lam", np.nan), ("lam", np.inf),
-        ("lam_gate", -0.5), ("lam_gate", np.nan),
+        ("max_experts", 0), ("max_experts", 2.5),
         ("lambda_grid", ()), ("lambda_grid", (0.1, np.inf)),
         ("lambda_grid", (-1.0,)), ("lambda_grid", (np.nan,)),
-        ("holdout_ratio", 0.0), ("holdout_ratio", 1.0),
-        ("internal_test_ratio", 0.0), ("internal_test_ratio", 1.5),
-        ("internal_test_ratio", np.nan),
-        ("em_tol", np.nan), ("em_tol", -1e-5), ("em_tol", np.inf),
+        ("max_experts", True),
+        ("em_max_iters", 0), ("em_max_iters", 2.5), ("em_max_iters", "3"),
+        ("seed", -1), ("seed", 1.5), ("seed", False),
     ])
     def test_rejects_out_of_range_field(self, field, value):
-        with pytest.raises(ArgumentError):
+        with pytest.raises(ArgumentError, match=field):
             TrainConfig(**{field: value})
+
+    def test_accepts_numpy_integers(self):
+        cfg = TrainConfig(max_experts=np.int64(2), em_max_iters=np.int32(3),
+                          seed=np.uint8(4))
+        assert (cfg.max_experts, cfg.em_max_iters, cfg.seed) == (2, 3, 4)
 
     def test_to_dict_names_and_values(self):
         cfg = TrainConfig(max_experts=3, lam=0.5, lambda_grid=(0.1, 2.0),
-                          lam_gate=0.25, holdout_ratio=0.3,
-                          internal_test_ratio=0.1, em_tol=1e-4, em_max_iters=7,
-                          seed=11)
+                          em_max_iters=7, seed=11)
         assert cfg.to_dict() == {
             "max_experts": 3,
             "lambda": 0.5,
             "lambda_grid": [0.1, 2.0],
-            "lambda_gate": 0.25,
-            "holdout_ratio": 0.3,
-            "internal_test_ratio": 0.1,
-            "em_tol": 1e-4,
             "em_max_iters": 7,
             "seed": 11,
         }

@@ -331,6 +331,6 @@ class TestLearnStructure:
         rng = np.random.default_rng(11)
         data, _ = expert_dataset(rng, n=60, d=4, m=2)
         w = np.random.default_rng(0).random(60)
-        a = learn_structure(data, w, lam=0.5, holdout_ratio=0.25, seed=21)
-        b = learn_structure(data, w, lam=0.5, holdout_ratio=0.25, seed=21)
+        a = learn_structure(data, w, lam=0.5, seed=21)
+        b = learn_structure(data, w, lam=0.5, seed=21)
         assert a.parent == b.parent
