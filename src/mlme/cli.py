@@ -14,10 +14,8 @@ import sys
 import time
 import warnings
 
-import numpy as np
-
 from .dataset import (Dataset, Standardizer, check_fold_count, load_arff,
-                      load_csv, read_arff_features, read_csv_features)
+                      load_csv, read_features)
 from .errors import ArgumentError, MlmeError, SchemaError
 from .evaluation import EvalReport, cross_validate, evaluate_model
 from .inference import AnnealConfig, predict_dataset
@@ -143,31 +141,11 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _features_for_model(args, model) -> np.ndarray:
-    """(N, m+1) biased feature matrix matching the model's dimensionality.
-
-    An ARFF's label columns are dropped by name, and a CSV's trailing d
-    columns when present, before their cells are parsed.
-    """
-    m, d = model.n_features - 1, model.d
-    if args.arff:
-        raw = read_arff_features(args.data, _label_names(args))
-        if raw.shape[1] != m:
-            raise SchemaError(
-                f"model expects m={m} features but data has m={raw.shape[1]}")
-    else:
-        raw = read_csv_features(args.data, m, d)
-        if raw.shape[1] != m:
-            raise SchemaError(
-                f"model expects {m} feature columns (optionally + {d} labels) "
-                f"but data has {raw.shape[1]} columns")
-    return np.hstack([np.ones((raw.shape[0], 1)), raw])
-
-
 def cmd_predict(args) -> int:
     cfg = _config(AnnealConfig, args)
     model, scaler = load_model(args.model)
-    features = _features_for_model(args, model)
+    features = read_features(args.data, model.n_features - 1, model.d,
+                             _label_names(args) if args.arff else None)
     if scaler is not None:
         features = scaler.transform_features(features)
     preds, logps = predict_dataset(model, features, cfg)

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dataset import Dataset, as_weight_array
-from .errors import ArgumentError
+from .errors import ArgumentError, check_width
 from .logreg import LinearModel, logistic_log_prob, train_columns
 
 
@@ -317,8 +317,10 @@ def train_experts(
     for k, structure in enumerate(structures):
         if structure.d != data.d:
             raise ArgumentError("structure size does not match dataset labels")
-        if init is not None and init[k].structure.parent != structure.parent:
-            raise ArgumentError("warm-start expert has a different structure")
+        if init is not None:
+            if init[k].structure.parent != structure.parent:
+                raise ArgumentError("warm-start expert has a different structure")
+            check_width("warm-start expert", init[k].n_features, X.shape[1])
         w = as_weight_array(W[:, k], data.n)
         for i, p in enumerate(structure.parent):
             for v in _branch_values(p):

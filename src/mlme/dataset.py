@@ -8,7 +8,7 @@ being special-cased in every model.
 
 from __future__ import annotations
 
-import itertools
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -20,6 +20,8 @@ from .errors import (
     LabelError,
     SchemaError,
     UnsupportedAttributeError,
+    check_count,
+    check_width,
 )
 
 
@@ -128,27 +130,6 @@ def _parse_float_rows(rows: Iterable[Sequence[str]], path) -> np.ndarray:
     return values
 
 
-def read_csv_features(path, m: int, d: int) -> np.ndarray:
-    """Float matrix of a CSV of m feature columns, perhaps followed by d labels.
-
-    Rows as in load_csv.  When they have m + d cells, the trailing d label
-    cells are dropped unparsed, as read_arff_features drops an ARFF's, so
-    unknown ('?') labels read like known ones; other rows are parsed whole.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        rows = _csv_cells(fh)
-        first = next(rows, None)
-        if first is not None:
-            keep = range(m if len(first) == m + d else len(first))
-            rows = _keep_cells(itertools.chain([first], rows), keep)
-        return _parse_float_rows(rows, path)
-
-
-def _keep_cells(rows, keep) -> Iterator[list[str]]:
-    """The cells at positions ``keep`` of each row, left unparsed."""
-    return ([parts[i] for i in keep] for parts in rows)
-
-
 def _csv_cells(lines, comment="#", width=None,
                sparse_ok=True) -> Iterator[list[str]]:
     """Cells of each line that is neither blank nor a ``comment`` line.
@@ -200,8 +181,7 @@ def load_csv(path, d: int) -> Dataset:
     raises DataParseError naming its row.  The feature count m is inferred
     from the column count; a bias column is prepended.
     """
-    if d < 1:
-        raise ArgumentError("label count d must be >= 1")
+    check_count(d, "label count d", 1)
     with open(path, "r", encoding="utf-8") as fh:
         return _split_labels(_parse_float_rows(_csv_cells(fh), path), d)
 
@@ -223,27 +203,43 @@ def load_arff(path, label_names: Sequence[str]) -> Dataset:
     @data rows go through the CSV reader with '%' comments and the
     attribute count as their width, so both formats reject the same cells.
     """
-    values, label_idx = _read_arff(path, label_names, labeled=True)
-    order = [i for i in range(values.shape[1]) if i not in label_idx]
+    with _arff_cells(path, label_names) as (names, label_idx, rows):
+        values = _parse_float_rows(rows, path)
+    order = [i for i in range(len(names)) if i not in label_idx]
     return _split_labels(values[:, order + label_idx], len(label_idx))
 
 
-def read_arff_features(path, label_names: Sequence[str]) -> np.ndarray:
-    """(N, m) feature matrix of an ARFF file, in attribute order.
+def read_features(path, m: int, d: int,
+                  label_names: Sequence[str] | None = None) -> np.ndarray:
+    """(N, m+1) biased feature matrix of a data file for a model of m features.
 
-    The header is checked and the ``label_names`` columns are located as in
-    load_arff, but their cells are not parsed: a test set whose labels are
-    unknown ('?') reads like a labeled one.
+    The file is an ARFF when ``label_names`` is given, else a CSV, read as
+    in load_arff and load_csv.  Label cells are dropped unparsed: an ARFF's
+    ``label_names`` columns, and a CSV's trailing d cells when its rows have
+    m + d.  So a test set whose labels are unknown ('?') reads like a
+    labeled one.  A feature count other than m raises SchemaError.
     """
-    return _read_arff(path, label_names, labeled=False)[0]
+    if label_names is None:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = _parse_float_rows((parts[:m] if len(parts) == m + d else parts
+                                     for parts in _csv_cells(fh)), path)
+    else:
+        with _arff_cells(path, label_names) as (names, label_idx, rows):
+            keep = [i for i in range(len(names)) if i not in label_idx]
+            raw = _parse_float_rows(([parts[i] for i in keep] for parts in rows),
+                                    path)
+    if raw.shape[1] != m:
+        raise SchemaError(
+            f"model expects m={m} features but data has m={raw.shape[1]}")
+    return np.hstack([np.ones((raw.shape[0], 1)), raw])
 
 
-def _read_arff(path, label_names: Sequence[str],
-               labeled: bool) -> tuple[np.ndarray, list[int]]:
-    """Parsed @data rows of an ARFF file and the column of each label name.
+@contextmanager
+def _arff_cells(path, label_names: Sequence[str]):
+    """Attribute names, the column of each label name and the @data cell rows.
 
-    With ``labeled`` false the label cells are dropped unparsed, so the rows
-    hold the feature columns alone.
+    The header is checked on entry, an empty ``label_names`` before the
+    file is opened; the rows are read while the context is open.
     """
     if not label_names:
         raise ArgumentError("label_names must name at least one label")
@@ -269,12 +265,8 @@ def _read_arff(path, label_names: Sequence[str],
         if repeated:
             raise SchemaError(
                 f"repeated label attribute(s): {', '.join(repeated)}")
-        label_idx = [names.index(ln) for ln in label_names]
-        rows = _csv_cells(fh, "%", len(names), sparse_ok=False)
-        if not labeled:
-            rows = _keep_cells(rows, [i for i in range(len(names))
-                                      if i not in label_idx])
-        return _parse_float_rows(rows, path), label_idx
+        yield (names, [names.index(ln) for ln in label_names],
+               _csv_cells(fh, "%", len(names), sparse_ok=False))
 
 
 def _parse_arff_attribute(line: str) -> str:
@@ -304,8 +296,7 @@ def _parse_arff_attribute(line: str) -> str:
 
 
 def check_fold_count(k: int) -> None:
-    if k < 2:
-        raise ArgumentError(f"fold count k must be >= 2, got {k}")
+    check_count(k, "fold count k", 2)
 
 
 def split_folds(data: Dataset, k: int, seed: int) -> list[tuple[Dataset, Dataset]]:
@@ -315,6 +306,7 @@ def split_folds(data: Dataset, k: int, seed: int) -> list[tuple[Dataset, Dataset
     differ in size by at most one.
     """
     check_fold_count(k)
+    check_count(seed, "seed", 0)
     if k > data.n:
         raise ArgumentError(f"fold count k={k} exceeds N={data.n}")
     rng = np.random.default_rng(seed)
@@ -343,6 +335,7 @@ def holdout_split(
         raise ArgumentError("holdout ratio must be in (0, 1)")
     if data.n < 2:
         raise ArgumentError("holdout split needs at least 2 instances")
+    check_count(seed, "seed", 0)
     w = as_weight_array(weights, data.n)
     n_hold = int(round(ratio * data.n))
     n_hold = min(max(n_hold, 1), data.n - 1)
@@ -374,6 +367,7 @@ class Standardizer:
     def transform_features(self, features: np.ndarray) -> np.ndarray:
         """Z-score the non-bias columns of an (N, m+1) biased feature matrix."""
         out = np.array(features, dtype=np.float64)
+        check_width("scaler", self.mean.shape[0] + 1, out.shape[-1])
         out[:, 1:] = (out[:, 1:] - self.mean) / self.scale
         return out
 

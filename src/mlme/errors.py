@@ -1,8 +1,11 @@
-"""Exception types shared across the toolkit.
+"""Exception types shared across the toolkit, and the argument checks.
 
 Every error, and the one warning kind, carries a short machine-readable
 ``code`` so the CLI can emit single-line, grep-able reports.
 """
+
+import math
+import numbers
 
 
 class MlmeError(Exception):
@@ -39,6 +42,29 @@ class ArgumentError(MlmeError):
     """An operation was called with out-of-contract arguments."""
 
     code = "argument"
+
+
+def check_finite_nonnegative(value, name: str) -> None:
+    """Raise ArgumentError naming ``name`` unless ``value`` is finite and >= 0."""
+    if not (math.isfinite(value) and value >= 0):
+        raise ArgumentError(f"{name} must be finite and >= 0, got {value}")
+
+
+def check_count(value, name: str, minimum: int) -> None:
+    """Raise ArgumentError naming ``name`` unless ``value`` is an integer >= minimum.
+
+    Any numbers.Integral but bool passes, so numpy integers do too.
+    """
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < minimum):
+        raise ArgumentError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def check_width(what: str, want: int, got: int) -> None:
+    """Raise ArgumentError naming both widths unless ``what``'s equals the data's."""
+    if want != got:
+        raise ArgumentError(
+            f"{what} expects m+1 = {want} feature columns, data has {got}")
 
 
 class GuardError(ArgumentError):

@@ -14,15 +14,14 @@ L-BFGS-B there too.
 
 from __future__ import annotations
 
-import math
-import numbers
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import Dataset, as_weight_array, split_folds
-from .errors import ArgumentError, DegenerateTargetWarning, NumericError
+from .errors import (ArgumentError, DegenerateTargetWarning, NumericError,
+                     check_count, check_finite_nonnegative)
 
 
 # L-BFGS settings shared by every fit: CPDs, structure scoring and the gate
@@ -32,22 +31,6 @@ LBFGS_OPTIONS = {"maxiter": 500, "maxcor": 10, "gtol": 1e-6, "maxls": 20}
 EM_MSTEP_MAXITER = 3
 _EPS, _TINY = np.finfo(np.float64).eps, np.finfo(np.float64).tiny
 DEFAULT_LAMBDA_GRID = (0.01, 0.1, 1.0, 10.0)
-
-
-def check_finite_nonnegative(value, name: str) -> None:
-    """Raise ArgumentError naming ``name`` unless ``value`` is finite and >= 0."""
-    if not (math.isfinite(value) and value >= 0):
-        raise ArgumentError(f"{name} must be finite and >= 0, got {value}")
-
-
-def check_count(value, name: str, minimum: int) -> None:
-    """Raise ArgumentError naming ``name`` unless ``value`` is an integer >= minimum.
-
-    Any numbers.Integral but bool passes, so numpy integers do too.
-    """
-    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-            or value < minimum):
-        raise ArgumentError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -284,6 +267,7 @@ def select_lambda(data: Dataset, grid=DEFAULT_LAMBDA_GRID, seed: int = 0) -> flo
     """
     if not grid:
         raise ArgumentError("lambda grid must be nonempty")
+    check_count(seed, "seed", 0)
     if len(grid) == 1:
         return float(grid[0])
     n_folds = min(3, data.n)

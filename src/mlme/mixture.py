@@ -16,15 +16,9 @@ import numpy as np
 from . import ctbn
 from .ctbn import CtbnExpert, TreeStructure, train_experts, train_parameters
 from .dataset import Dataset, holdout_split
-from .errors import ArgumentError, EmMonotonicityError
-from .logreg import (
-    DEFAULT_LAMBDA_GRID,
-    EM_MSTEP_MAXITER,
-    check_count,
-    check_finite_nonnegative,
-    minimize,
-    select_lambda,
-)
+from .errors import (ArgumentError, EmMonotonicityError, check_count,
+                     check_finite_nonnegative, check_width)
+from .logreg import DEFAULT_LAMBDA_GRID, EM_MSTEP_MAXITER, minimize, select_lambda
 from .structlearn import learn_structure
 
 INTERNAL_TEST_RATIO = 0.2  # share of the data that decides when growth stops
@@ -114,6 +108,7 @@ class MixtureModel:
 
 def component_log_prob_matrix(model: MixtureModel, data: Dataset) -> np.ndarray:
     """(N, K) of log g_k(x_n) + log P(y_n | x_n, expert_k)."""
+    check_width("model", model.n_features, data.features.shape[1])
     Z = data.features @ model.gating.theta.T
     log_g = Z - logsumexp(Z, axis=1, keepdims=True)
     return log_g + np.column_stack([ctbn.node_order_sum(ctbn.node_log_probs(
@@ -228,6 +223,8 @@ def m_step_gate(
     p = data.features.shape[1]
     if h.shape[0] != data.n:
         raise ArgumentError("responsibility rows must match instance count")
+    if x0 is not None:
+        check_width("warm-start gate", x0.theta.shape[1], p)
     if K == 1:
         # a single expert always gets gate probability 1; zeros by convention
         return GatingModel(np.zeros((1, p)))

@@ -126,19 +126,33 @@ class TestTrainPredict:
         assert capsys.readouterr().err == (
             "mlme: error[parse] row 1: could not parse value '?'\n")
 
-    def test_shape_mismatch_is_schema_error(self, tmp_path, toy_csv, capsys):
+    @pytest.mark.parametrize("fmt, width, labels", [
+        ("csv", 5, ""),         # m + d + 1 cells, all read as features
+        ("arff", 5, ",0,1"),
+        ("csv", 1, ""),
+        ("arff", 1, ",?,?"),    # unknown labels are dropped unparsed
+    ], ids=["csv-wide", "arff-wide", "csv-narrow", "arff-unknown-labels-narrow"])
+    def test_shape_mismatch_is_schema_error(self, tmp_path, toy_csv, capsys,
+                                            fmt, width, labels):
+        # both formats go through one reader, so one line reports both
         model_path = tmp_path / "model.json"
         run(["train", "--data", toy_csv, "--labels", 2, "--out", model_path,
              "--max-experts", 1, "--lambda", 0.5])
         capsys.readouterr()  # the training run's warning lines
-        bad = tmp_path / "bad.csv"
-        bad.write_text("1.0,2.0,3.0,4.0,5.0\n")
-        rc = run(["predict", "--model", model_path, "--data", bad,
-                  "--out", tmp_path / "p.csv"])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert err.startswith("mlme: error[schema]")
-        assert "\n" not in err.strip()
+        rows = [",".join(str(r + j / 4) for j in range(width)) + labels
+                for r in range(2)]
+        bad = tmp_path / f"bad.{fmt}"
+        args = ["predict", "--model", model_path, "--data", bad,
+                "--out", tmp_path / "p.csv"]
+        if fmt == "arff":
+            rows = ([f"@attribute f{j} numeric" for j in range(width)]
+                    + ["@attribute L1 {0,1}", "@attribute L2 {0,1}", "@data"]
+                    + rows)
+            args += ["--arff", "--label-names", "L1,L2"]
+        bad.write_text("\n".join(rows) + "\n")
+        assert run(args) == 2
+        assert capsys.readouterr().err == (
+            f"mlme: error[schema] model expects m=2 features but data has m={width}\n")
 
     @pytest.mark.parametrize("case, code", [
         ("model-without-experts", "schema"),

@@ -8,6 +8,7 @@ from mlme.dataset import (
     holdout_split,
     load_arff,
     load_csv,
+    read_features,
     split_folds,
 )
 from mlme.errors import (
@@ -53,6 +54,12 @@ class TestLoadCsv:
         path = write(tmp_path, "d.csv", "1.0,2.0,0,2\n")
         with pytest.raises(LabelError, match="row 1"):
             load_csv(path, d=2)
+
+    @pytest.mark.parametrize("d", [0, 2.5, True, None])
+    def test_rejects_non_integral_label_count(self, tmp_path, d):
+        path = write(tmp_path, "d.csv", "1.0,2.0,0,1\n")
+        with pytest.raises(ArgumentError, match="label count d must be an integer"):
+            load_csv(path, d)
 
     def test_round_trip_bitwise(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -132,6 +139,31 @@ class TestLoadArff:
             load_csv(csv, d=2)
 
 
+class TestReadFeatures:
+    """The one predict-time reader: label cells dropped, the bias prepended."""
+
+    WANT = np.array([[1.0, 0.5, 2.5], [1.0, 1.5, 3.5]])
+
+    @pytest.mark.parametrize("text", [
+        "0.5,2.5,1,0\n1.5,3.5,0,1\n",      # features and labels
+        "0.5,2.5\n1.5,3.5\n",              # features only
+        "# m=2 d=2\n0.5,2.5,?,?\n1.5,3.5,?,?\n",
+    ])
+    def test_csv_label_cells_dropped_unparsed(self, tmp_path, text):
+        X = read_features(write(tmp_path, "d.csv", text), 2, 2)
+        np.testing.assert_array_equal(X, self.WANT)
+
+    @pytest.mark.parametrize("unknown", [False, True])
+    def test_arff_label_columns_dropped_unparsed(self, tmp_path, unknown):
+        text = ARFF.replace("0.5,1,2.5,0", "0.5,?,2.5,?") if unknown else ARFF
+        X = read_features(write(tmp_path, "t.arff", text), 2, 2, ["L1", "L2"])
+        np.testing.assert_array_equal(X, self.WANT)
+
+    def test_empty_label_names_rejected_before_reading(self, tmp_path):
+        with pytest.raises(ArgumentError, match="at least one label"):
+            read_features(tmp_path / "missing.arff", 2, 2, [])
+
+
 def toy_dataset(n, m=2, d=2, seed=0):
     rng = np.random.default_rng(seed)
     return Dataset.from_raw(rng.normal(size=(n, m)),
@@ -170,6 +202,18 @@ class TestSplitFolds:
         with pytest.raises(ArgumentError):
             split_folds(toy_dataset(3), 4, seed=0)
 
+    @pytest.mark.parametrize("k, seed, name", [
+        (2.5, 0, "fold count k"), (True, 0, "fold count k"),
+        (np.float64(2), 0, "fold count k"), (1, 0, "fold count k"),
+        (2, -1, "seed"), (2, 1.5, "seed"), (2, True, "seed")])
+    def test_rejects_non_integral_count_or_seed(self, k, seed, name):
+        with pytest.raises(ArgumentError, match=f"{name} must be an integer"):
+            split_folds(toy_dataset(10), k, seed)
+
+    def test_accepts_numpy_integers(self):
+        folds = split_folds(toy_dataset(10), np.int64(2), np.int32(3))
+        assert len(folds) == 2
+
 
 class TestHoldoutSplit:
     def test_ratio_arithmetic(self):
@@ -188,6 +232,11 @@ class TestHoldoutSplit:
         (tr, wtr), (ho, who) = holdout_split(data, w, 0.3, seed=5)
         assert len(wtr) == tr.n and len(who) == ho.n
         assert sorted(np.concatenate([wtr, who]).tolist()) == w.tolist()
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, None])
+    def test_rejects_non_integral_seed(self, seed):
+        with pytest.raises(ArgumentError, match="seed must be an integer"):
+            holdout_split(toy_dataset(10), np.ones(10), 0.25, seed)
 
     def test_uniform_weights_stay_uniform(self):
         data = toy_dataset(12)

@@ -259,3 +259,8 @@ class TestCrossValidate:
     def test_rejects_single_fold(self):
         with pytest.raises(ArgumentError):
             cross_validate(self.make_toy(), TrainConfig(lam=0.5), k=1)
+
+    @pytest.mark.parametrize("k", [2.5, True, np.float64(2), "2"])
+    def test_rejects_non_integral_fold_count(self, k):
+        with pytest.raises(ArgumentError, match="fold count k must be an integer"):
+            cross_validate(self.make_toy(), TrainConfig(lam=0.5), k=k)

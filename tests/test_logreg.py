@@ -208,6 +208,13 @@ class TestSelectLambda:
         data = Dataset.from_raw(np.zeros((5, 1)), np.zeros((5, 1), dtype=int))
         assert select_lambda(data, (0.5,)) == 0.5
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, None])
+    def test_rejects_non_integral_seed(self, seed):
+        data = Dataset.from_raw(np.zeros((6, 1)), np.zeros((6, 1), dtype=int))
+        for grid in ((0.5,), (0.1, 1.0)):
+            with pytest.raises(ArgumentError, match="seed must be an integer"):
+                select_lambda(data, grid, seed=seed)
+
 
 
 def random_columns(rng, B, n=60, m=4):

@@ -13,9 +13,16 @@ from conftest import (
     two_regime_dataset,
 )
 from mlme import logreg, mixture
-from mlme.ctbn import TreeStructure, exact_map, joint_log_prob, train_parameters
-from mlme.dataset import Dataset
+from mlme.ctbn import (
+    TreeStructure,
+    exact_map,
+    joint_log_prob,
+    train_experts,
+    train_parameters,
+)
+from mlme.dataset import Dataset, Standardizer
 from mlme.errors import ArgumentError
+from mlme.evaluation import cll_loss
 from mlme.inference import all_label_vectors
 from mlme.logreg import LinearModel
 from mlme.mixture import (
@@ -28,6 +35,7 @@ from mlme.mixture import (
     gate_objective_and_gradient,
     gating_log_probs,
     grow_mixture,
+    instance_log_probs,
     logsumexp,
     m_step_experts,
     m_step_gate,
@@ -174,6 +182,35 @@ class TestRowChecks:
                   np.array([True, False, True, True, False, False]),
                   np.array([1.0, 0.0, 1.0, 1.0, 0.0, 0.0])):
             assert mixture_log_prob(model, x, y) == want
+
+
+class TestFeatureWidth:
+    """A dataset or warm start of another feature width is an ArgumentError."""
+
+    @pytest.mark.parametrize("call", [
+        "instance_log_probs", "cll_loss", "em_fit", "train_experts",
+        "m_step_gate", "Standardizer.transform"])
+    def test_width_mismatch_names_both_widths(self, call):
+        rng = np.random.default_rng(41)
+        model = random_mixture(rng, k=2, d=3, m=2)             # m+1 = 3
+        data, _ = expert_dataset(rng, n=20, d=3, m=3)          # m+1 = 4
+        structures = [e.structure for e in model.experts]
+        h = np.full((data.n, 2), 0.5)
+        narrow = Dataset(data.features[:, :3], data.labels)
+        calls = {
+            "instance_log_probs": lambda: instance_log_probs(model, data),
+            "cll_loss": lambda: cll_loss(model, data),
+            "em_fit": lambda: em_fit(structures, data, TrainConfig(lam=0.5),
+                                     init_model=model),
+            "train_experts": lambda: train_experts(structures, data, h, 0.5,
+                                                   init=model.experts),
+            "m_step_gate": lambda: m_step_gate(h, data, 0.5, x0=model.gating),
+            "Standardizer.transform":
+                lambda: Standardizer.fit(narrow).transform(data),
+        }
+        with pytest.raises(ArgumentError,
+                           match=r"m\+1 = 3 feature columns, data has 4"):
+            calls[call]()
 
 
 class TestEStep:

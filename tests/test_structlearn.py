@@ -334,3 +334,10 @@ class TestLearnStructure:
         a = learn_structure(data, w, lam=0.5, seed=21)
         b = learn_structure(data, w, lam=0.5, seed=21)
         assert a.parent == b.parent
+
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_rejects_non_integral_seed(self, seed):
+        rng = np.random.default_rng(12)
+        data, _ = expert_dataset(rng, n=20, d=2, m=2)
+        with pytest.raises(ArgumentError, match="seed must be an integer"):
+            learn_structure(data, np.ones(20), lam=0.5, seed=seed)
