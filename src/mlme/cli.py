@@ -18,7 +18,7 @@ from .dataset import (Dataset, Standardizer, check_fold_count, load_arff,
                       load_csv, read_features)
 from .errors import ArgumentError, MlmeError, SchemaError
 from .evaluation import EvalReport, cross_validate, evaluate_model
-from .inference import AnnealConfig, predict_dataset
+from .inference import predict_dataset
 from .logreg import DEFAULT_LAMBDA_GRID
 from .mixture import TrainConfig, grow_mixture
 from .model_io import atomic_write_text, load_model, save_model
@@ -58,12 +58,7 @@ def _add_train_args(p):
     p.add_argument("--em-max-iters", type=int, default=absent)
     p.add_argument("--no-standardize", action="store_true",
                    help="disable per-feature z-scoring")
-
-
-def _add_anneal_args(p):
-    p.add_argument("--anneal-iters", dest="iterations", metavar="ANNEAL_ITERS",
-                   type=int, default=argparse.SUPPRESS)
-    p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--seed", type=int, default=absent)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -77,7 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_args(p)
     _add_train_args(p)
     p.add_argument("--out", required=True, help="output model file (JSON)")
-    p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
 
     p = sub.add_parser("predict", help="MAP-predict labels for a data file")
     p.add_argument("--model", required=True)
@@ -85,20 +79,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--arff", action="store_true")
     p.add_argument("--label-names", default=None)
     p.add_argument("--out", required=True, help="output prediction CSV")
-    _add_anneal_args(p)
 
     p = sub.add_parser("evaluate", help="score a saved model on labeled data")
     p.add_argument("--model", required=True)
     _add_data_args(p)
     p.add_argument("--out", required=True, help="output report JSON")
-    _add_anneal_args(p)
 
     p = sub.add_parser("cv", help="k-fold cross-validation from scratch")
     _add_data_args(p)
     _add_train_args(p)
     p.add_argument("--folds", type=int, default=10)
     p.add_argument("--out", required=True, help="output report JSON")
-    _add_anneal_args(p)
     return parser
 
 
@@ -142,13 +133,12 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    cfg = _config(AnnealConfig, args)
     model, scaler = load_model(args.model)
     features = read_features(args.data, model.n_features - 1, model.d,
                              _label_names(args) if args.arff else None)
     if scaler is not None:
         features = scaler.transform_features(features)
-    preds, logps = predict_dataset(model, features, cfg)
+    preds, logps = predict_dataset(model, features)
     lines = [",".join([str(int(v)) for v in preds[i]] + [repr(float(logps[i]))])
              for i in range(preds.shape[0])]
     atomic_write_text(args.out, "\n".join(lines) + "\n")
@@ -157,7 +147,6 @@ def cmd_predict(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    cfg = _config(AnnealConfig, args)
     model, scaler = load_model(args.model)
     data = _load_labeled(args, d_hint=model.d)
     if data.m != model.n_features - 1 or data.d != model.d:
@@ -167,13 +156,11 @@ def cmd_evaluate(args) -> int:
     if scaler is not None:
         data = scaler.transform(data)
     start = time.perf_counter()
-    fold = evaluate_model(model, data, cfg)
+    fold = evaluate_model(model, data)
     fold = dataclasses.replace(fold, wall_time=time.perf_counter() - start)
     report = EvalReport((fold,), {
         "model": args.model,
         "data": args.data,
-        "anneal_iterations": cfg.iterations,
-        "seed": cfg.seed,
         "lambda": model.meta.get("lambda"),
     })
     atomic_write_text(args.out, report.to_json() + "\n")
@@ -182,10 +169,10 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_cv(args) -> int:
-    config, anneal = _config(TrainConfig, args), _config(AnnealConfig, args)
+    config = _config(TrainConfig, args)
     check_fold_count(args.folds)
     data = _load_labeled(args)
-    report = cross_validate(data, config, k=args.folds, anneal=anneal,
+    report = cross_validate(data, config, k=args.folds,
                             standardize=not args.no_standardize)
     atomic_write_text(args.out, report.to_json() + "\n")
     print(report.to_text_table())

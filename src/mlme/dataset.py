@@ -367,6 +367,9 @@ class Standardizer:
     def transform_features(self, features: np.ndarray) -> np.ndarray:
         """Z-score the non-bias columns of an (N, m+1) biased feature matrix."""
         out = np.array(features, dtype=np.float64)
+        if out.ndim != 2:
+            raise ArgumentError(
+                f"scaler expects an (N, m+1) feature matrix, got shape {out.shape}")
         check_width("scaler", self.mean.shape[0] + 1, out.shape[-1])
         out[:, 1:] = (out[:, 1:] - self.mean) / self.scale
         return out

@@ -17,7 +17,7 @@ import numpy as np
 
 from .dataset import Dataset, Standardizer, split_folds
 from .errors import ArgumentError
-from .inference import AnnealConfig, predict_dataset
+from .inference import predict_dataset
 from .logreg import train_columns
 from .mixture import (
     MixtureModel,
@@ -154,12 +154,11 @@ class EvalReport:
 def evaluate_model(
     model: MixtureModel,
     test: Dataset,
-    anneal: AnnealConfig = AnnealConfig(),
     wall_time: float = 0.0,
     baseline_preds: Optional[np.ndarray] = None,
 ) -> FoldResult:
     """Score one trained model on one test set."""
-    preds, _ = predict_dataset(model, test.features, anneal)
+    preds, _ = predict_dataset(model, test.features)
     loss = cll_loss(model, test)
     br = {}
     if baseline_preds is not None:
@@ -184,7 +183,6 @@ def cross_validate(
     data: Dataset,
     trainer: TrainConfig,
     k: int,
-    anneal: AnnealConfig = AnnealConfig(),
     standardize: bool = True,
 ) -> EvalReport:
     """k-fold cross-validation of the full train/predict pipeline.
@@ -207,15 +205,12 @@ def cross_validate(
         fold_cfg = replace(trainer, seed=_tagged_seed(trainer.seed, 101, fold_idx))
         model = grow_mixture(train_t, fold_cfg)
         elapsed = time.perf_counter() - start
-        fold_anneal = replace(anneal, seed=_tagged_seed(trainer.seed, 102, fold_idx))
         baseline = binary_relevance_baseline(train_t, test_t, model.meta["lambda"])
-        results.append(evaluate_model(model, test_t, fold_anneal,
-                                      wall_time=elapsed,
+        results.append(evaluate_model(model, test_t, wall_time=elapsed,
                                       baseline_preds=baseline))
     return EvalReport(tuple(results), {
         "folds": k,
         "seed": trainer.seed,
         "standardize": standardize,
-        "anneal_iterations": anneal.iterations,
         "trainer": trainer.to_dict(),
     })

@@ -1,11 +1,13 @@
 """MAP prediction for the mixture.
 
-Exact MAP on a single tree is cheap, but the mixture couples all labels, so
-prediction uses simulated annealing over single-bit flips, started from the
-best of the per-expert exact MAP assignments.  The best state ever visited
-is returned, so the result can never be worse than its initialization and
-is exact for single-expert models.  An exhaustive enumerator doubles as the
-test oracle for small label counts.
+Exact MAP on one tree is a max-sum pass; the gate couples the experts, so
+the mixture's MAP is found by branch and bound over partial label
+assignments (as AND/OR branch and bound, Marinescu & Dechter, 2009).  Each
+expert's max-sum under a node's fixed labels gives a candidate, and since
+log sum_k g_k P_k(y) <= log sum_k g_k max_y P_k(y) their maxima bound the
+node.  A node is solved when the arg-maxes agree, pruned when its bound
+does not beat the row's best candidate, and else branches on the first
+labels where they disagree.  An exhaustive enumerator is the test oracle.
 """
 
 from __future__ import annotations
@@ -18,14 +20,23 @@ import numpy as np
 from . import ctbn
 from .errors import GuardError
 from .logreg import check_count
-from .mixture import MixtureModel, _MixtureScorer
+from .mixture import MixtureModel, _MixtureScorer, logsumexp
 
 ENUMERATION_GUARD = 20  # enumerate_map refuses label spaces beyond 2^20
+BRANCH_LABELS = 3       # labels fixed per branching: up to 8 children a node
+SEARCH_ROWS = 64        # rows searched together; bounds the frontier's memory
 
 
 @dataclass(frozen=True)
 class AnnealConfig:
-    """Annealing schedule: geometric cooling from T=1 to T=1e-3."""
+    """Settings of the MAP search.
+
+    ``iterations`` is each row's node budget.  A row whose search would
+    evaluate more nodes keeps its best candidate so far, which is never
+    below heuristic_init's; a budget of 1 returns heuristic_init's answer.
+    ``seed`` changes no answer, since the search draws no random numbers;
+    it is kept, and checked, for callers that set it.
+    """
 
     iterations: int = 150
     seed: int = 0
@@ -34,57 +45,88 @@ class AnnealConfig:
         check_count(self.iterations, "iterations", 1)
         check_count(self.seed, "seed", 0)
 
-    @property
-    def cooling_rate(self) -> float:
-        """Per-step temperature factor: ``iterations`` steps multiply to 1e-3."""
-        return 1e-3 ** (1 / self.iterations)
 
+def _evaluate(scorer: _MixtureScorer, rows: np.ndarray, fixed: np.ndarray):
+    """Per-expert arg-maxes Y (F, K, d), their mixture scores (F, K) and bounds (F,).
 
-def _start(scorer: _MixtureScorer) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's best per-expert exact MAP assignment and its log-prob.
-
-    Candidates are scored by the mixture; ties go to the first expert.
+    Node f is row rows[f] with labels fixed[f] (-1 where free).  One max-sum
+    over the experts' forest, with excluded label values at -inf, gives
+    expert k's arg-max Y[f, k]; one gather scores every arg-max under every
+    expert, S[f, c, k] = log P_k(Y[f, c] | x).  The bound is
+    logsumexp_k(log g_k + S[f, k, k]).
     """
-    candidates = [ctbn.max_sum(scorer.table[:, j], s)
-                  for j, s in enumerate(scorer.structures)]
-    scores = np.stack([scorer.logp_batch(y) for y in candidates], axis=1)
-    pick = np.argmax(scores, axis=1)   # first max, as a strict > scan
-    rows = np.arange(len(pick))
-    return np.stack(candidates, axis=1)[rows, pick], scores[rows, pick]
+    excluded = (fixed[..., None] >= 0) & (fixed[..., None] != np.arange(2))
+    table = np.where(excluded[:, None, :, None, :], -np.inf, scorer.table[rows])
+    F, K, d = table.shape[:3]
+    Y = ctbn.max_sum(table.reshape(F, K * d, 2, 2), scorer.forest).reshape(F, K, d)
+    S = ctbn.tree_log_prob(scorer.table, scorer.parent_index, Y,
+                           scorer.offsets[rows, None])
+    log_gate = scorer.log_gate[rows]
+    return (Y, logsumexp(log_gate[:, None] + S, axis=-1),
+            logsumexp(log_gate + np.diagonal(S, axis1=1, axis2=2), axis=-1))
 
 
-def _anneal(scorer: _MixtureScorer, cfg: AnnealConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Anneal every row of the scorer's batch in lockstep from its start state.
+def _improve(best, best_lp, rows, Y, scores) -> None:
+    """Set each row's incumbent to the best of it and its new candidates.
 
-    Row r draws from its own default_rng(cfg.seed + r) in the order a lone
-    row would: one integers(d) per step, and random() only when the
-    proposal is no better than the current state.  Scores are a pure
-    function of the state, so each row's stream, and its result, do not
-    depend on the rest of the batch.
+    The higher score wins; equal scores go to the smaller label vector, as
+    in enumerate_map.
     """
-    current, cur_lp = _start(scorer)
-    n, d = current.shape
-    best, best_lp = current.copy(), cur_lp.copy()
-    rngs = [np.random.default_rng(cfg.seed + r) for r in range(n)]
-    rows = np.arange(n)
-    temperature, rate = 1.0, cfg.cooling_rate
-    for _ in range(cfg.iterations):
-        proposal = current.copy()
-        proposal[rows, [rng.integers(d) for rng in rngs]] ^= 1
-        lp = scorer.logp_batch(proposal)
-        better = lp > best_lp
-        best[better], best_lp[better] = proposal[better], lp[better]
-        accept = np.array(
-            [delta > 0 or rng.random() < np.exp(delta / temperature)
-             for delta, rng in zip((lp - cur_lp).tolist(), rngs)], dtype=bool)
-        current[accept], cur_lp[accept] = proposal[accept], lp[accept]
-        temperature *= rate
+    r = np.concatenate([np.repeat(rows, Y.shape[1]), rows])
+    y = np.concatenate([Y.reshape(-1, Y.shape[2]), best[rows]])
+    s = np.concatenate([scores.ravel(), best_lp[rows]])
+    order = np.lexsort((*y.T[::-1], -s, r))
+    top = order[np.flatnonzero(np.diff(r[order], prepend=-1))]  # each row's first
+    best[r[top]], best_lp[r[top]] = y[top], s[top]
+
+
+def _branch(rows, fixed, split):
+    """Children of each node: every value of its first BRANCH_LABELS split labels."""
+    labels = np.argsort(~split, axis=1, kind="stable")[:, :BRANCH_LABELS]
+    width = np.minimum(split.sum(axis=1), BRANCH_LABELS)
+    node, code = np.nonzero(np.arange(2 ** BRANCH_LABELS) < (1 << width)[:, None])
+    child = fixed[node]
+    for t in range(labels.shape[1]):
+        on = t < width[node]
+        child[on, labels[node[on], t]] = (code[on] >> t) & 1
+    return rows[node], child
+
+
+def _search(scorer: _MixtureScorer, budget: int) -> tuple[np.ndarray, np.ndarray]:
+    """Branch and bound for every row of the scorer's batch.
+
+    One frontier of (row, fixed labels) nodes, kept in row order, serves up
+    to SEARCH_ROWS rows; each round evaluates all of it at once.  A row's
+    nodes, incumbent and budget depend on that row alone, so each row gets
+    its single-row answer.  The root round's incumbent is heuristic_init's.
+    """
+    n, _, d = scorer.table.shape[:3]
+    best, best_lp = np.zeros((n, d), dtype=np.int8), np.full(n, -np.inf)
+    spent = np.zeros(n, dtype=np.intp)
+    for start in range(0, n, SEARCH_ROWS):
+        rows = np.arange(start, min(start + SEARCH_ROWS, n))
+        fixed = np.full((len(rows), d), -1, dtype=np.int8)
+        while len(rows):
+            np.add.at(spent, rows, 1)
+            Y, scores, bound = _evaluate(scorer, rows, fixed)
+            _improve(best, best_lp, rows, Y, scores)
+            split = (Y != Y[:, :1]).any(axis=1)  # labels where arg-maxes disagree
+            open_ = split.any(axis=1) & (bound > best_lp[rows])
+            if not open_.any():
+                break
+            rows, fixed = _branch(rows[open_], fixed[open_], split[open_])
+            rank = np.arange(len(rows)) - np.searchsorted(rows, rows)
+            keep = rank < budget - spent[rows]
+            rows, fixed = rows[keep], fixed[keep]
     return best, best_lp
 
 
 def heuristic_init(model: MixtureModel, x: np.ndarray) -> np.ndarray:
-    """Best of the per-expert exact MAP assignments, scored by the mixture."""
-    return _start(_MixtureScorer(model, x))[0][0]
+    """Best of the per-expert exact MAP assignments by mixture score.
+
+    Equal scores go to the smaller label vector.
+    """
+    return _search(_MixtureScorer(model, x), 1)[0][0]
 
 
 def map_predict(
@@ -92,14 +134,12 @@ def map_predict(
     x: np.ndarray,
     cfg: AnnealConfig = AnnealConfig(),
 ) -> tuple[np.ndarray, float]:
-    """Approximate MAP label vector by annealed single-bit-flip search.
+    """Exact MAP label vector of one row by branch and bound, with its log-prob.
 
-    Starts at heuristic_init; improving flips are always accepted, worsening
-    ones with probability exp(delta / temperature) under geometric cooling.
-    Returns the best state visited, so the answer is never worse than the
-    initialization and is deterministic for a fixed seed.
+    Equal to enumerate_map's answer within the node budget cfg.iterations;
+    never below heuristic_init's, and exact_map's for a single expert.
     """
-    best, best_lp = _anneal(_MixtureScorer(model, x), cfg)
+    best, best_lp = _search(_MixtureScorer(model, x), cfg.iterations)
     return best[0], float(best_lp[0])
 
 
@@ -110,11 +150,10 @@ def predict_dataset(
 ) -> tuple[np.ndarray, np.ndarray]:
     """MAP-predict every row of an (N, m+1) feature matrix.
 
-    Rows are annealed together; row i gets exactly map_predict's answer
-    for seed cfg.seed + i, so results are reproducible and independent of
-    batch order.
+    Rows are searched together; each row gets exactly map_predict's answer,
+    so results do not depend on batch order.
     """
-    return _anneal(_MixtureScorer(model, features, batch=True), cfg)
+    return _search(_MixtureScorer(model, features, batch=True), cfg.iterations)
 
 
 def all_label_vectors(d: int) -> np.ndarray:

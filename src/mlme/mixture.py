@@ -9,6 +9,7 @@ data, with an internal validation split deciding when to stop.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, replace
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -105,6 +106,17 @@ class MixtureModel:
     def n_features(self) -> int:
         return self.experts[0].n_features
 
+    @cached_property
+    def forest(self) -> TreeStructure:
+        """Every expert's tree in one forest: node i of expert k is node k*d + i.
+
+        ctbn.max_sum on it gives each expert's own arg-max bits, since the
+        children of a node keep their order within each depth.
+        """
+        return TreeStructure(tuple(None if p is None else k * self.d + p
+                                   for k, e in enumerate(self.experts)
+                                   for p in e.structure.parent))
+
 
 def component_log_prob_matrix(model: MixtureModel, data: Dataset) -> np.ndarray:
     """(N, K) of log g_k(x_n) + log P(y_n | x_n, expert_k)."""
@@ -125,13 +137,13 @@ class _MixtureScorer:
     def __init__(self, model: MixtureModel, x: np.ndarray, batch: bool = False):
         X = ctbn.check_feature_rows(x, model.n_features, batch).reshape(
             -1, model.n_features)
-        self.structures = [e.structure for e in model.experts]
-        self.parent_index = np.stack([s.parent_index for s in self.structures])
+        self.forest = model.forest
+        self.parent_index = np.stack([e.structure.parent_index for e in model.experts])
         # stacked products keep each row's bits; a plain X @ theta.T does not
         self.log_gate = gating_log_probs(model.gating, X)   # (n, k)
         self.table = ctbn.node_term_table(np.stack(
             [e.logit_table(X) for e in model.experts], axis=1))  # (n, k, d, 2, 2)
-        self._offsets = ctbn.term_offsets(self.table)
+        self.offsets = ctbn.term_offsets(self.table)
 
     def logp_batch(self, Y: np.ndarray) -> np.ndarray:
         """Mixture log-probability of the label rows of an (M, d) matrix.
@@ -140,7 +152,7 @@ class _MixtureScorer:
         scores every row against its one feature vector.  ``Y`` is unchecked.
         """
         return logsumexp(self.log_gate + ctbn.tree_log_prob(
-            self.table, self.parent_index, Y, self._offsets), axis=-1)
+            self.table, self.parent_index, Y, self.offsets), axis=-1)
 
 
 def mixture_log_prob(model: MixtureModel, x: np.ndarray, y) -> float:
@@ -225,6 +237,9 @@ def m_step_gate(
         raise ArgumentError("responsibility rows must match instance count")
     if x0 is not None:
         check_width("warm-start gate", x0.theta.shape[1], p)
+        if x0.k != K:
+            raise ArgumentError(f"warm-start gate has {x0.k} experts, "
+                                f"responsibilities have {K} columns")
     if K == 1:
         # a single expert always gets gate probability 1; zeros by convention
         return GatingModel(np.zeros((1, p)))

@@ -224,12 +224,10 @@ def test_criterion_7_emotions_benchmark():
 
     start = time.perf_counter()
     mixture_report = cross_validate(
-        data, TrainConfig(max_experts=5, seed=42), k=10,
-        anneal=AnnealConfig(), standardize=True)
+        data, TrainConfig(max_experts=5, seed=42), k=10, standardize=True)
     elapsed = time.perf_counter() - start
     single_report = cross_validate(
-        data, TrainConfig(max_experts=1, seed=42), k=10,
-        anneal=AnnealConfig(), standardize=True)
+        data, TrainConfig(max_experts=1, seed=42), k=10, standardize=True)
 
     ema = mixture_report.aggregate["ema"]["mean"]
     cll = mixture_report.aggregate["cll_loss"]["mean"]
@@ -253,7 +251,7 @@ def test_criterion_8_scene_soft_target():
     data = load_benchmark("scene", d=6, label_names=label_names)
     assert (data.n, data.m, data.d) == (2407, 294, 6)
     report = cross_validate(data, TrainConfig(max_experts=5, seed=42), k=10,
-                            anneal=AnnealConfig(), standardize=True)
+                            standardize=True)
     ema = report.aggregate["ema"]["mean"]
     status = "meets" if ema >= 0.63 else "below"
     report_pass(f"criterion 8 (soft): scene EMA={ema:.3f} {status} the 0.63 target")
@@ -307,12 +305,11 @@ def test_criterion_10_bit_reproducibility(tmp_path):
                          "--out", str(model_path), "--max-experts", "2",
                          "--lambda", "0.3", "--seed", "4"]) == 0
         assert cli_main(["predict", "--model", str(model_path),
-                         "--data", str(csv_path), "--out", str(pred_path),
-                         "--anneal-iters", "50", "--seed", "6"]) == 0
+                         "--data", str(csv_path), "--out", str(pred_path)]) == 0
         assert cli_main(["cv", "--data", str(csv_path), "--labels", "4",
                          "--folds", "2", "--out", str(report_path),
                          "--max-experts", "1", "--lambda", "0.3",
-                         "--anneal-iters", "20", "--seed", "1"]) == 0
+                         "--seed", "1"]) == 0
         models.append(model_path.read_bytes())
         preds.append(pred_path.read_bytes())
         doc = json.loads(report_path.read_text())

@@ -46,7 +46,7 @@ class TestTrainPredict:
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "model.json", "toy.csv"]
         assert run(["predict", "--model", model_path, "--data", toy_csv,
-                    "--out", preds_path, "--anneal-iters", 20]) == 0
+                    "--out", preds_path]) == 0
         lines = preds_path.read_text().strip().splitlines()
         assert len(lines) == 20
         # d binary columns plus the log-probability column
@@ -85,7 +85,7 @@ class TestTrainPredict:
         feats_only.write_text("\n".join(",".join(r) for r in rows) + "\n")
         out = tmp_path / "p.csv"
         assert run(["predict", "--model", model_path, "--data", feats_only,
-                    "--out", out, "--anneal-iters", 10]) == 0
+                    "--out", out]) == 0
         assert len(out.read_text().strip().splitlines()) == 20
 
     @pytest.fixture()
@@ -181,6 +181,8 @@ class TestTrainPredict:
         ("flag-seed-negative", "argument"),
         ("predict-anneal-iters-fraction", "argument"),
         ("predict-seed-negative", "argument"),
+        ("predict-anneal-iters-removed", "argument"),
+        ("predict-seed-removed", "argument"),
         ("predict-no-logprob-removed", "argument"),
         ("train-without-data", "argument"),
         ("no-subcommand", "argument"),
@@ -191,6 +193,8 @@ class TestTrainPredict:
         ("missing-data-arff-label-names-empty", "argument"),
         ("missing-model-predict-anneal-iters-zero", "argument"),
         ("missing-model-evaluate-seed-negative", "argument"),
+        ("missing-model-evaluate-seed-removed", "argument"),
+        ("missing-data-cv-anneal-iters-removed", "argument"),
     ])
     def test_malformed_input_is_one_error_line(self, tmp_path, toy_csv, capsys,
                                                case, code):
@@ -233,8 +237,11 @@ class TestTrainPredict:
                     "flag-seed-negative": ["--seed", "-1"]}[case]
             args = ["train", "--data", toy_csv, "--labels", 2] + flag
         elif case.startswith("predict-"):
+            # the search flags are gone: any value of them fails
             args += {"predict-anneal-iters-fraction": ["--anneal-iters", "1.5"],
                      "predict-seed-negative": ["--seed", "-1"],
+                     "predict-anneal-iters-removed": ["--anneal-iters", "20"],
+                     "predict-seed-removed": ["--seed", "0"],
                      "predict-no-logprob-removed": ["--no-logprob"]}[case]
         elif case.startswith("missing-"):
             # a bad flag is reported before any file is opened
@@ -252,7 +259,12 @@ class TestTrainPredict:
                          "--anneal-iters", "0"],
                     "missing-model-evaluate-seed-negative":
                         ["evaluate", "--model", gone, "--data", gone,
-                         "--seed", "-1"]}[case]
+                         "--seed", "-1"],
+                    "missing-model-evaluate-seed-removed":
+                        ["evaluate", "--model", gone, "--data", gone,
+                         "--seed", "0"],
+                    "missing-data-cv-anneal-iters-removed":
+                        cv + ["--anneal-iters", "20"]}[case]
         elif case == "arff-attribute-repeated":
             data = tmp_path / "bad.arff"
             data.write_text("@relation t\n@attribute f1 numeric\n@attribute L1 numeric\n"
@@ -301,25 +313,25 @@ class TestTrainPredict:
         args = build_parser().parse_args(argv)
         if argv[0] in ("train", "cv"):
             assert _config(TrainConfig, args) == TrainConfig(seed=0)
-        if argv[0] != "train":
-            assert _config(AnnealConfig, args) == AnnealConfig()
+        else:
+            # predict and evaluate take no search settings
+            assert not {f.name for f in dataclasses.fields(AnnealConfig)} & set(
+                vars(args))
 
     def test_every_flag_reaches_its_config_field(self):
         args = build_parser().parse_args([
             "cv", "--data", "d.csv", "--out", "r.json", "--max-experts", "3",
             "--lambda", "0.5", "--lambda-grid", "0.1,,2", "--em-max-iters", "7",
-            "--anneal-iters", "25", "--seed", "4"])
+            "--seed", "4"])
         assert _config(TrainConfig, args) == TrainConfig(
             max_experts=3, lam=0.5, lambda_grid=(0.1, 2.0), em_max_iters=7, seed=4)
-        assert _config(AnnealConfig, args) == AnnealConfig(iterations=25, seed=4)
 
     def test_every_dest_is_a_config_field_or_cli_only(self):
         # _config drops a flag that names no field, so a flag must name one
         # or be read by the command itself
         cli_only = {"help", "data", "labels", "arff", "label_names", "model",
                     "out", "folds", "no_standardize"}
-        fields = {f.name for cls in (TrainConfig, AnnealConfig)
-                  for f in dataclasses.fields(cls)}
+        fields = {f.name for f in dataclasses.fields(TrainConfig)}
         sub = next(a for a in build_parser()._actions
                    if isinstance(a, argparse._SubParsersAction))
         assert sorted(sub.choices) == ["cv", "evaluate", "predict", "train"]
@@ -349,7 +361,7 @@ class TestDeterminism:
         p1, p2 = tmp_path / "p1.csv", tmp_path / "p2.csv"
         for out in (p1, p2):
             run(["predict", "--model", model_path, "--data", toy_csv,
-                 "--out", out, "--anneal-iters", 25, "--seed", 9])
+                 "--out", out])
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_saved_model_round_trip_predictions(self, tmp_path):
@@ -416,9 +428,9 @@ class TestEvaluateAndCv:
              "--max-experts", 1, "--lambda", 0.5])
         report_path = tmp_path / "report.json"
         assert run(["evaluate", "--model", model_path, "--data", toy_csv,
-                    "--labels", 2, "--out", report_path,
-                    "--anneal-iters", 10]) == 0
+                    "--labels", 2, "--out", report_path]) == 0
         doc = json.loads(report_path.read_text())
+        assert not {"anneal_iterations", "seed"} & doc["config"].keys()
         fold = doc["per_fold"][0]
         assert 0.0 <= fold["ema"] <= 1.0
         assert fold["cll_loss"] >= 0.0
@@ -427,7 +439,7 @@ class TestEvaluateAndCv:
         report_path = tmp_path / "cv.json"
         assert run(["cv", "--data", toy_csv, "--labels", 2, "--folds", 2,
                     "--out", report_path, "--max-experts", 1,
-                    "--lambda", 0.5, "--anneal-iters", 10, "--seed", 0]) == 0
+                    "--lambda", 0.5, "--seed", 0]) == 0
         doc = json.loads(report_path.read_text())
         assert len(doc["per_fold"]) == 2
         assert "ema" in doc["aggregate"]
@@ -438,7 +450,7 @@ class TestEvaluateAndCv:
             out = tmp_path / name
             run(["cv", "--data", toy_csv, "--labels", 2, "--folds", 2,
                  "--out", out, "--max-experts", 1, "--lambda", 0.5,
-                 "--anneal-iters", 10, "--seed", 0])
+                 "--seed", 0])
             doc = json.loads(out.read_text())
             for fold in doc["per_fold"]:
                 fold.pop("wall_time")
@@ -475,13 +487,11 @@ class TestArffCli:
              "--out", model_path, "--max-experts", 1, "--lambda", 0.5])
         preds = tmp_path / "p.csv"
         assert run(["predict", "--model", model_path, "--data", toy_arff,
-                    "--arff", "--label-names", "L1,L2", "--out", preds,
-                    "--anneal-iters", 10]) == 0
+                    "--arff", "--label-names", "L1,L2", "--out", preds]) == 0
         assert len(preds.read_text().strip().splitlines()) == 16
         report = tmp_path / "r.json"
         assert run(["evaluate", "--model", model_path, "--data", toy_arff,
-                    "--arff", "--label-names", "L1,L2", "--out", report,
-                    "--anneal-iters", 10]) == 0
+                    "--arff", "--label-names", "L1,L2", "--out", report]) == 0
         doc = json.loads(report.read_text())
         assert 0.0 <= doc["per_fold"][0]["ema"] <= 1.0
 

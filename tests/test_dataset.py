@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -285,3 +287,10 @@ class TestStandardizer:
         data = Dataset.from_raw(X, np.zeros((5, 1), dtype=int))
         out = Standardizer.fit(data).transform(data)
         assert np.all(np.isfinite(out.features))
+
+    @pytest.mark.parametrize("shape", [(5,), (2, 3, 5), ()])
+    def test_transform_features_needs_a_matrix(self, shape):
+        # one feature row is a 1-D (m+1) vector; the scaler takes (N, m+1)
+        scaler = Standardizer.fit(toy_dataset(10, m=4))
+        with pytest.raises(ArgumentError, match=f"got shape {re.escape(str(shape))}"):
+            scaler.transform_features(np.ones(shape))

@@ -125,17 +125,17 @@ def test_mutated_inputs_end_in_one_error_line(files, capsys):
     for i in range(N_MODEL_MUTANTS):
         bad_model.write_text(mutate_model_text(rng, good_model))
         for argv in (["predict", "--model", bad_model, "--data", csv, "--out",
-                      out, "--anneal-iters", "3"],
+                      out],
                      ["evaluate", "--model", bad_model, "--data", csv,
-                      "--labels", "2", "--out", out, "--anneal-iters", "3"]):
+                      "--labels", "2", "--out", out]):
             _check_run(capsys, [str(a) for a in argv], f"model mutant {i}",
                        failures, codes)
     for i in range(N_CSV_MUTANTS):
         bad_csv.write_text(mutate_csv_text(rng, good_csv))
         for argv in (["predict", "--model", model, "--data", bad_csv, "--out",
-                      out, "--anneal-iters", "3"],
+                      out],
                      ["evaluate", "--model", model, "--data", bad_csv,
-                      "--labels", "2", "--out", out, "--anneal-iters", "3"],
+                      "--labels", "2", "--out", out],
                      ["train", "--data", bad_csv, "--labels", "2", "--out", out,
                       "--max-experts", "1", "--lambda", "1"]):
             _check_run(capsys, [str(a) for a in argv], f"csv mutant {i}",

@@ -17,7 +17,6 @@ from mlme.evaluation import (
     macro_f1,
     micro_f1,
 )
-from mlme.inference import AnnealConfig
 from mlme.logreg import LinearModel, train_weighted
 from mlme.mixture import GatingModel, MixtureModel, TrainConfig
 
@@ -151,8 +150,7 @@ class TestBinaryRelevance:
         test = Dataset.from_raw(X[n:], Y[n:])
         br_preds = binary_relevance_baseline(train, test, lam=0.1)
         model = grow_mixture(train, TrainConfig(max_experts=2, lam=0.1, seed=0))
-        mix_preds, _ = predict_dataset(model, test.features,
-                                       AnnealConfig(iterations=50, seed=0))
+        mix_preds, _ = predict_dataset(model, test.features)
         br_ema = exact_match_accuracy(br_preds, test.labels)
         mix_ema = exact_match_accuracy(mix_preds, test.labels)
         assert abs(br_ema - mix_ema) < 0.08
@@ -191,7 +189,6 @@ class TestStructureExploitation:
         X = np.hstack([np.ones((n, 1)), rng.normal(size=(n, m))])
         data = Dataset(X, sample_labels(rng, gen, X))
         report = cross_validate(data, TrainConfig(max_experts=2, seed=1), k=3,
-                                anneal=AnnealConfig(iterations=80),
                                 standardize=True)
         agg = report.aggregate
         assert agg["ema"]["mean"] > agg["br_ema"]["mean"] + 0.03
@@ -207,8 +204,7 @@ class TestCrossValidate:
     def test_toy_two_folds_populates_report(self):
         data = self.make_toy()
         report = cross_validate(
-            data, TrainConfig(max_experts=1, lam=0.5, seed=1), k=2,
-            anneal=AnnealConfig(iterations=10))
+            data, TrainConfig(max_experts=1, lam=0.5, seed=1), k=2)
         assert len(report.per_fold) == 2
         for fold in report.per_fold:
             assert 0.0 <= fold.ema <= 1.0
@@ -222,7 +218,7 @@ class TestCrossValidate:
     def test_deterministic_up_to_wall_time(self):
         data = self.make_toy()
         kwargs = dict(trainer=TrainConfig(max_experts=1, lam=0.5, seed=4),
-                      k=2, anneal=AnnealConfig(iterations=10))
+                      k=2)
         a = cross_validate(data, **kwargs).to_dict()
         b = cross_validate(data, **kwargs).to_dict()
         for doc in (a, b):
@@ -234,8 +230,7 @@ class TestCrossValidate:
     def test_report_serialization_round_trip(self):
         data = self.make_toy()
         report = cross_validate(
-            data, TrainConfig(max_experts=1, lam=0.5, seed=2), k=2,
-            anneal=AnnealConfig(iterations=5))
+            data, TrainConfig(max_experts=1, lam=0.5, seed=2), k=2)
         doc = json.loads(report.to_json())
         assert doc["config"]["folds"] == 2
         table = report.to_text_table()

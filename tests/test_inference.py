@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import random_expert, random_mixture, random_x
-from mlme.ctbn import exact_map, joint_log_prob
+from mlme import inference
+from mlme.ctbn import CtbnExpert, TreeStructure, exact_map, joint_log_prob
 from mlme.errors import ArgumentError, GuardError
 from mlme.inference import (
     AnnealConfig,
@@ -29,17 +30,7 @@ class TestAnnealConfig:
     def test_defaults(self):
         cfg = AnnealConfig()
         assert cfg.iterations == 150
-        assert cfg.cooling_rate == 1e-3 ** (1 / 150)
-        final = cfg.cooling_rate ** cfg.iterations
-        assert final == pytest.approx(1e-3, rel=1e-6)
-
-    @pytest.mark.parametrize("iterations", [1, 25, 150, 1000])
-    def test_schedule_ends_at_final_temperature(self, iterations):
-        cfg = AnnealConfig(iterations=iterations)
-        temperature = 1.0
-        for _ in range(iterations):
-            temperature *= cfg.cooling_rate
-        assert temperature == pytest.approx(1e-3, rel=1e-9)
+        assert cfg.seed == 0
 
     def test_validation(self):
         with pytest.raises(ArgumentError):
@@ -126,34 +117,27 @@ class TestMapPredict:
         assert lp1 == lp2
 
     def test_single_iteration_is_init_or_one_flip(self):
+        # a node budget of 1 evaluates the root only: heuristic_init's answer
         rng = np.random.default_rng(6)
         for trial in range(30):
             model = random_mixture(rng, k=3, d=5, m=2)
             x = random_x(rng, 2)
             init = heuristic_init(model, x)
-            init_lp = mixture_log_prob(model, x, init)
             y, lp = map_predict(model, x, AnnealConfig(iterations=1, seed=trial))
-            flips = int((y != init).sum())
-            assert flips <= 1
-            if flips == 1:
-                assert lp > init_lp
-            else:
-                assert lp == pytest.approx(init_lp, abs=0)
+            np.testing.assert_array_equal(y, init)
+            assert lp == mixture_log_prob(model, x, init)
 
-    def test_matches_oracle_on_most_trials(self):
+    def test_matches_oracle_on_all_trials(self):
         rng = np.random.default_rng(7)
-        hits = 0
-        trials = 60
-        for trial in range(trials):
+        for trial in range(60):
             k = int(rng.integers(1, 4))
             d = int(rng.integers(2, 11))
             model = random_mixture(rng, k=k, d=d, m=2)
             x = random_x(rng, 2)
             y, lp = map_predict(model, x, AnnealConfig(seed=trial))
             y_ref, lp_ref = enumerate_map(model, x)
-            assert lp <= lp_ref + 1e-12
-            hits += np.array_equal(y, y_ref)
-        assert hits / trials >= 0.95
+            np.testing.assert_array_equal(y, y_ref)
+            assert lp == lp_ref
 
 
 class TestEnumerateMap:
@@ -167,7 +151,6 @@ class TestEnumerateMap:
         assert lp >= mixture_log_prob(model, x, [other])
 
     def test_uniform_tie_breaks_to_zeros(self):
-        from mlme.ctbn import CtbnExpert, TreeStructure
         d = 5
         structure = TreeStructure((None,) * d)
         cpds = tuple((LinearModel(np.zeros(3), 0.0),) for _ in range(d))
@@ -249,38 +232,23 @@ class TestPredictDataset:
         rng = np.random.default_rng(14)
         model = random_mixture(rng, k=2, d=4, m=2)
         X = np.hstack([np.ones((6, 1)), rng.normal(size=(6, 2))])
-        cfg = AnnealConfig(iterations=25, seed=0)
-        full, _ = predict_dataset(model, X, cfg)
-        # predicting a suffix with the shifted seed yields the same rows
-        tail_cfg = AnnealConfig(iterations=25, seed=3)
-        tail, _ = predict_dataset(model, X[3:], tail_cfg)
+        full, _ = predict_dataset(model, X, AnnealConfig(iterations=25, seed=0))
+        # a suffix of the batch, under any seed, gets the same rows
+        tail, _ = predict_dataset(model, X[3:], AnnealConfig(iterations=25, seed=3))
         np.testing.assert_array_equal(full[3:], tail)
 
 
-def reference_predict(model, X, cfg):
-    """One row at a time: heuristic start, then single-bit-flip annealing."""
-    preds, logps = np.zeros((len(X), model.d), dtype=np.int8), np.zeros(len(X))
-    for i, x in enumerate(X):
-        scorer = _MixtureScorer(model, x)
-        candidates = [exact_map(expert, x)[0] for expert in model.experts]
-        current = candidates[int(np.argmax([scorer_logp(scorer, y)
-                                            for y in candidates]))]
-        cur_lp = scorer_logp(scorer, current)
-        best, best_lp = current.copy(), cur_lp
-        rng = np.random.default_rng(cfg.seed + i)
-        temperature = 1.0
-        for _ in range(cfg.iterations):
-            proposal = current.copy()
-            proposal[int(rng.integers(model.d))] ^= 1
-            lp = scorer_logp(scorer, proposal)
-            if lp > best_lp:
-                best, best_lp = proposal.copy(), lp
-            delta = lp - cur_lp
-            if delta > 0 or rng.random() < np.exp(delta / temperature):
-                current, cur_lp = proposal, lp
-            temperature *= cfg.cooling_rate
-        preds[i], logps[i] = best, best_lp
-    return preds, logps
+def test_batch_longer_than_one_search_frontier():
+    # rows are searched SEARCH_ROWS at a time; each still gets its own answer
+    rng = np.random.default_rng(103)
+    model = random_mixture(rng, k=3, d=6, m=3, scale=0.3)
+    n = 2 * inference.SEARCH_ROWS + 5
+    X = np.hstack([np.ones((n, 1)), rng.normal(size=(n, 3))])
+    preds, logps = predict_dataset(model, X)
+    for r, x in enumerate(X):
+        y, lp = map_predict(model, x)
+        assert y.tobytes() == preds[r].tobytes()
+        assert np.float64(lp).tobytes() == logps[r].tobytes()
 
 
 class TestStackedProducts:
@@ -309,9 +277,155 @@ class TestStackedProducts:
                     assert got[r].tobytes() == want.tobytes()
 
 
+def tie_prone_mixture(rng, k, d, m):
+    """A flat mixture with exact ties between label vectors.
+
+    About half the CPDs are all zero (P = 1/2 whatever x), the last expert
+    repeats the first, and the gate is zero.
+    """
+    model = random_mixture(rng, k=k, d=d, m=m, scale=0.1)
+    experts = [CtbnExpert(e.structure, tuple(
+        tuple(LinearModel(np.zeros(m + 1), 0.0) if rng.random() < 0.5 else c
+              for c in cpds) for cpds in e.cpds)) for e in model.experts]
+    experts[-1] = experts[0]
+    return MixtureModel(tuple(experts), GatingModel(np.zeros((k, m + 1))))
+
+
+MODEL_FAMILIES = {
+    "sharp": lambda rng, k, d, m: random_mixture(rng, k=k, d=d, m=m, scale=1.5),
+    "flat": lambda rng, k, d, m: random_mixture(rng, k=k, d=d, m=m, scale=0.1),
+    "tie-prone": tie_prone_mixture,
+}
+
+
+def random_cases(family, seed, trials=30, rows=3):
+    """(model, X) pairs with K <= 4 experts and d <= 12 labels."""
+    rng = np.random.default_rng(seed)
+    for _ in range(trials):
+        k, d = int(rng.integers(1, 5)), int(rng.integers(1, 13))
+        model = MODEL_FAMILIES[family](rng, k, d, 3)
+        X = np.hstack([np.ones((rows, 1)), rng.normal(size=(rows, 3))])
+        if rng.random() < 0.2:
+            X[:, 1:] = 0.0          # every expert and gate at its bias
+        yield model, X
+
+
+def root_bound(model, x, fixed=None):
+    """The search's bound of one node of row x (the root when fixed is None)."""
+    fixed = np.full((1, model.d), -1, np.int8) if fixed is None else fixed[None]
+    scorer = _MixtureScorer(model, x)
+    return float(inference._evaluate(scorer, np.zeros(1, np.intp), fixed)[2][0])
+
+
+@pytest.mark.parametrize("family", sorted(MODEL_FAMILIES))
+class TestBranchAndBound:
+    def test_equals_enumerate_map_byte_for_byte(self, family):
+        for model, X in random_cases(family, 200):
+            preds, logps = predict_dataset(model, X)
+            for r, x in enumerate(X):
+                y_ref, lp_ref = enumerate_map(model, x)
+                assert preds[r].tobytes() == y_ref.tobytes()
+                assert logps[r].tobytes() == np.float64(lp_ref).tobytes()
+
+    def test_root_bound_not_below_true_maximum(self, family):
+        for model, X in random_cases(family, 201):
+            for x in X:
+                assert root_bound(model, x) >= enumerate_map(model, x)[1]
+
+    def test_node_bound_covers_its_completions(self, family):
+        # a node fixing random labels bounds every vector that agrees with it
+        rng = np.random.default_rng(202)
+        for model, X in random_cases(family, 203, trials=20, rows=2):
+            Y = all_label_vectors(model.d)
+            for x in X:
+                fixed = np.where(rng.random(model.d) < 0.4,
+                                 rng.integers(0, 2, model.d), -1).astype(np.int8)
+                agree = np.all((fixed < 0) | (Y == fixed), axis=1)
+                best = _MixtureScorer(model, x).logp_batch(Y[agree]).max()
+                assert root_bound(model, x, fixed) >= best
+
+    def test_batch_equals_single_row(self, family):
+        for model, X in random_cases(family, 204):
+            for cfg in (AnnealConfig(), AnnealConfig(iterations=3)):
+                preds, logps = predict_dataset(model, X, cfg)
+                for r, x in enumerate(X):
+                    y, lp = map_predict(model, x, cfg)
+                    assert y.tobytes() == preds[r].tobytes()
+                    assert np.float64(lp).tobytes() == logps[r].tobytes()
+
+    def test_k1_equals_exact_map(self, family):
+        rng = np.random.default_rng(205)
+        for _ in range(30):
+            model = MODEL_FAMILIES[family](rng, 1, int(rng.integers(1, 13)), 3)
+            x = random_x(rng, 3)
+            y, lp = map_predict(model, x)
+            y_ref, lp_ref = exact_map(model.experts[0], x)
+            assert y.tobytes() == y_ref.tobytes()
+            assert lp == lp_ref
+
+    def test_budget_of_one_returns_heuristic_init(self, family):
+        for model, X in random_cases(family, 206):
+            preds, logps = predict_dataset(model, X, AnnealConfig(iterations=1))
+            for r, x in enumerate(X):
+                init = heuristic_init(model, x)
+                assert preds[r].tobytes() == init.tobytes()
+                assert logps[r] == mixture_log_prob(model, x, init)
+
+    def test_small_budget_between_init_and_oracle(self, family):
+        for model, X in random_cases(family, 207):
+            for budget in (2, 5, 9):
+                _, logps = predict_dataset(model, X, AnnealConfig(iterations=budget))
+                for r, x in enumerate(X):
+                    init = mixture_log_prob(model, x, heuristic_init(model, x))
+                    assert init <= logps[r] <= enumerate_map(model, x)[1]
+
+    def test_seed_changes_no_answer(self, family):
+        for model, X in random_cases(family, 208, trials=10):
+            runs = {predict_dataset(model, X, AnnealConfig(seed=s))[1].tobytes()
+                    for s in (0, 1, 99)}
+            assert len(runs) == 1
+
+    def test_node_budget_caps_evaluated_nodes(self, family, monkeypatch):
+        evaluated = []
+
+        def counting(scorer, rows, fixed):
+            evaluated.append(rows)
+            return evaluate(scorer, rows, fixed)
+
+        evaluate = inference._evaluate
+        monkeypatch.setattr(inference, "_evaluate", counting)
+        for model, X in random_cases(family, 209, trials=15):
+            for budget in (1, 2, 5, 9):
+                evaluated.clear()
+                predict_dataset(model, X, AnnealConfig(iterations=budget))
+                per_row = np.bincount(np.concatenate(evaluated), minlength=len(X))
+                assert per_row.max() <= budget and per_row.min() >= 1
+
+
+def test_two_label_tie_goes_to_the_smaller_vector():
+    # expert 0's MAP is (1, 0) and expert 1's is (0, 1), with the same
+    # score under an equal gate: both search and oracle answer (0, 1)
+    def expert(b0, b1):
+        return CtbnExpert(TreeStructure((None, None)), (
+            (LinearModel(np.array([b0]), 0.0),), (LinearModel(np.array([b1]), 0.0),)))
+
+    model = MixtureModel((expert(2.0, -2.0), expert(-2.0, 2.0)),
+                         GatingModel(np.zeros((2, 1))))
+    x = np.array([1.0])
+    scores = _MixtureScorer(model, x).logp_batch(all_label_vectors(2))
+    assert scores[1] == scores[2] == scores.max()
+    for y in (heuristic_init(model, x), map_predict(model, x)[0],
+              predict_dataset(model, x[None])[0][0], enumerate_map(model, x)[0]):
+        assert y.tolist() == [0, 1]
+
+
 class TestLockstepAnnealing:
-    # on flat models (small scale) the best visited state depends on the
-    # path, so a row whose random stream shifted ends up elsewhere
+    """Rows of a batch go through the search together, in lockstep rounds.
+
+    Each must get its single-row answer, and the exact answer where an
+    oracle can check it.
+    """
+
     @pytest.mark.parametrize("scale", [0.1, 1.5])
     @pytest.mark.parametrize("k,d", itertools.product((1, 2, 3), (1, 6, 20)))
     def test_batch_equals_per_row_reference(self, k, d, scale):
@@ -321,10 +435,22 @@ class TestLockstepAnnealing:
             X = np.hstack([np.ones((n, 1)), rng.normal(size=(n, 3))])
             cfg = AnnealConfig(iterations=iterations, seed=int(rng.integers(1000)))
             preds, logps = predict_dataset(model, X, cfg)
-            ref_preds, ref_logps = reference_predict(model, X, cfg)
             assert preds.dtype == np.int8
-            np.testing.assert_array_equal(preds, ref_preds)
-            assert logps.tobytes() == ref_logps.tobytes()
+            for r, x in enumerate(X):
+                y, lp = map_predict(model, x, cfg)
+                assert y.tobytes() == preds[r].tobytes()
+                assert np.float64(lp).tobytes() == logps[r].tobytes()
+                init = heuristic_init(model, x)
+                if k == 1:
+                    ref = exact_map(model.experts[0], x)
+                elif iterations == 1:
+                    ref = init, mixture_log_prob(model, x, init)
+                elif d <= 6 and iterations == 150:  # 2^6 leaves fit the budget
+                    ref = enumerate_map(model, x)
+                else:
+                    assert lp >= mixture_log_prob(model, x, init)
+                    continue
+                assert y.tobytes() == ref[0].tobytes() and lp == ref[1]
 
     def test_map_predict_is_the_one_row_case(self):
         rng = np.random.default_rng(101)

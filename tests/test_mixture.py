@@ -189,7 +189,7 @@ class TestFeatureWidth:
 
     @pytest.mark.parametrize("call", [
         "instance_log_probs", "cll_loss", "em_fit", "train_experts",
-        "m_step_gate", "Standardizer.transform"])
+        "m_step_gate", "Standardizer.transform", "m_step_gate-expert-count"])
     def test_width_mismatch_names_both_widths(self, call):
         rng = np.random.default_rng(41)
         model = random_mixture(rng, k=2, d=3, m=2)             # m+1 = 3
@@ -207,9 +207,14 @@ class TestFeatureWidth:
             "m_step_gate": lambda: m_step_gate(h, data, 0.5, x0=model.gating),
             "Standardizer.transform":
                 lambda: Standardizer.fit(narrow).transform(data),
+            # a K=3 gate of the data's width against two responsibility columns
+            "m_step_gate-expert-count": lambda: m_step_gate(
+                h, data, 0.5, x0=GatingModel(np.zeros((3, 4)))),
         }
-        with pytest.raises(ArgumentError,
-                           match=r"m\+1 = 3 feature columns, data has 4"):
+        match = {"m_step_gate-expert-count":
+                 "gate has 3 experts, responsibilities have 2 columns"}
+        with pytest.raises(ArgumentError, match=match.get(
+                call, r"m\+1 = 3 feature columns, data has 4")):
             calls[call]()
 
 
