@@ -18,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ctbn
-from .errors import GuardError
-from .logreg import check_count
+from .errors import GuardError, check_count
 from .mixture import MixtureModel, _MixtureScorer, logsumexp
 
 ENUMERATION_GUARD = 20  # enumerate_map refuses label spaces beyond 2^20

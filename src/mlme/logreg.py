@@ -164,9 +164,20 @@ class LinearModel:
         object.__setattr__(self, "params", p)
 
 
+def _log_sigmoid_and_exp(z):
+    """(log sigma(z), e) for a float array z, with e = exp(-|z|).
+
+    log sigma(z) = -(log1p(e) + max(-z, 0)) = min(z, 0) - log1p(e), the
+    arithmetic of -logaddexp(0, -z) on numpy's vectorised exp and log1p;
+    finite for every finite z.  The training kernel reuses e.
+    """
+    e = np.exp(-np.abs(z))
+    return np.minimum(z, 0.0) - np.log1p(e), e
+
+
 def log_sigmoid(z):
     """log(sigma(z)), stable for large |z|: -log(1 + e^-z)."""
-    return -np.logaddexp(0.0, -z)
+    return _log_sigmoid_and_exp(np.asarray(z, dtype=np.float64))[0]
 
 
 def sigmoid(z):
@@ -188,13 +199,27 @@ def objective_and_gradient(params, X, t, w, lam):
     scalar or (B,): then value is (B,) and the gradient (p, B), column by
     column.
     """
-    params = np.asarray(params, dtype=np.float64)
-    sign = np.where(t == 1, 1.0, -1.0)
-    sz = sign * (X @ params)
-    lp = log_sigmoid(sz)                       # logistic_log_prob(z, t)
-    value = (w * lp).sum(axis=0) - 0.5 * lam * (params[1:] ** 2).sum(axis=0)
-    # t - sigma(z) = sign * sigma(-sign z), and log sigma(-s) = log sigma(s) - s
-    grad = X.T @ (w * sign * np.exp(lp - sz))
+    return _objective(np.asarray(params, dtype=np.float64), X,
+                      np.where(t == 1, 1.0, -1.0), w, lam)
+
+
+def _objective(params, X, sign, w, lam):
+    """objective_and_gradient with the targets as signs: +1 where t == 1, else -1.
+
+    One exp and one log1p per entry: with sz = sign * z and e = exp(-|sz|),
+    t - sigma(z) = sign * sigma(-sz) = sign * where(sz >= 0, e, 1) / (1 + e).
+    """
+    sz = X @ params
+    sz *= sign
+    lp, e = _log_sigmoid_and_exp(sz)           # logistic_log_prob(z, t)
+    lp *= w
+    value = lp.sum(axis=0) - 0.5 * lam * (params[1:] ** 2).sum(axis=0)
+    resid = np.where(sz >= 0, e, 1.0)
+    e += 1.0
+    resid /= e
+    resid *= sign
+    resid *= w
+    grad = X.T @ resid
     grad[1:] -= lam * params[1:]
     return value, grad
 
@@ -213,26 +238,31 @@ def train_columns(X, T, W, lam, x0=None, maxiter=None) -> np.ndarray:
     once the gradient is below gtol.
     """
     X = np.asarray(X, dtype=np.float64)
-    T = np.asarray(T, dtype=np.float64)
+    sign = np.where(np.asarray(T) == 1, 1.0, -1.0)
     W = np.asarray(W, dtype=np.float64)
-    lam = np.broadcast_to(np.asarray(lam, dtype=np.float64), T.shape[1:])
+    B = sign.shape[1]
+    lam = np.broadcast_to(np.asarray(lam, dtype=np.float64), (B,))
     for value in np.unique(lam):
         check_finite_nonnegative(value, "lambda")
     effective = W > 0
     if not effective.any(axis=0).all():
         warnings.warn("training set has no effective (positive-weight) instances",
                       DegenerateTargetWarning)
-    lo = np.where(effective, T, np.inf).min(axis=0, initial=np.inf)
-    hi = np.where(effective, T, -np.inf).max(axis=0, initial=-np.inf)
+    lo = np.where(effective, sign, np.inf).min(axis=0, initial=np.inf)
+    hi = np.where(effective, sign, -np.inf).max(axis=0, initial=-np.inf)
     if np.any(lo == hi):
         warnings.warn("all effective targets are identical; fit is penalty-driven",
                       DegenerateTargetWarning)
 
     def fg(theta, cols):
-        value, grad = objective_and_gradient(theta, X, T[:, cols], W[:, cols], lam[cols])
+        # columns freeze as they stop; until then read sign and W uncopied
+        if cols.size == B:
+            value, grad = _objective(theta, X, sign, W, lam)
+        else:
+            value, grad = _objective(theta, X, sign[:, cols], W[:, cols], lam[cols])
         return -value, -grad
 
-    start = np.zeros((X.shape[1], T.shape[1])) if x0 is None else x0
+    start = np.zeros((X.shape[1], B)) if x0 is None else x0
     return minimize(fg, start, maxiter=maxiter).x
 
 

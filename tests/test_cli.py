@@ -1,7 +1,11 @@
 import argparse
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -363,6 +367,39 @@ class TestDeterminism:
             run(["predict", "--model", model_path, "--data", toy_csv,
                  "--out", out])
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_blas_thread_count_keeps_trees_k_lambda_and_labels(self, tmp_path):
+        # bytes are fixed for one BLAS thread count; across counts the
+        # gradient product may round differently, but the model's trees, K
+        # and lambda, and the predicted labels, must agree
+        rng = np.random.default_rng(11)
+        X = rng.normal(size=(300, 30))
+        Y = (X[:, :5] + 0.5 * X[:, 5:10] + rng.normal(size=(300, 5)) > 0).astype(int)
+        Y[X[:, 10] > 0, 1:] = Y[X[:, 10] > 0, :1]
+        data_path = tmp_path / "data.csv"
+        Dataset.from_raw(X, Y).save_csv(data_path)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        results = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+            model_path = tmp_path / f"model{threads}.json"
+            preds_path = tmp_path / f"preds{threads}.csv"
+            for args in (["train", "--data", data_path, "--labels", 5, "--out", model_path,
+                          "--max-experts", 2, "--seed", 3],
+                         ["predict", "--model", model_path, "--data", data_path,
+                          "--out", preds_path]):
+                done = subprocess.run([sys.executable, "-m", "mlme.cli", *map(str, args)],
+                                      capture_output=True, text=True, env=env, timeout=300)
+                assert done.returncode == 0, done.stderr
+            doc = json.loads(model_path.read_text())
+            labels = [line.rsplit(",", 1)[0]
+                      for line in preds_path.read_text().splitlines()]
+            results.append((doc["k"], doc["meta"]["lambda"],
+                            [e["parent"] for e in doc["experts"]], labels))
+        assert len(results[0][3]) == 300
+        assert results[0] == results[1]
 
     def test_saved_model_round_trip_predictions(self, tmp_path):
         rng = np.random.default_rng(1)

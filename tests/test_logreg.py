@@ -7,6 +7,7 @@ from mlme.logreg import (
     EM_MSTEP_MAXITER,
     LBFGS_OPTIONS,
     LinearModel,
+    log_sigmoid,
     logistic_log_prob,
     minimize,
     objective_and_gradient,
@@ -107,6 +108,85 @@ class TestObjective:
             denom = max(np.linalg.norm(fd), 1e-8)
             worst = max(worst, np.linalg.norm(grad - fd) / denom)
         assert worst < 1e-4
+
+
+def reference_log_sigmoid(z):
+    """The scalar-libm formula log_sigmoid replaced, kept as a reference."""
+    return -np.logaddexp(0.0, -z)
+
+
+def reference_objective(params, X, t, w, lam):
+    """objective_and_gradient as it was: logaddexp, and a second exp for the
+    residual sigma(-sz) = exp(log sigma(sz) - sz)."""
+    sign = np.where(t == 1, 1.0, -1.0)
+    sz = sign * (X @ params)
+    lp = reference_log_sigmoid(sz)
+    value = (w * lp).sum(axis=0) - 0.5 * lam * (params[1:] ** 2).sum(axis=0)
+    grad = X.T @ (w * sign * np.exp(lp - sz))
+    grad[1:] -= lam * params[1:]
+    return value, grad
+
+
+EDGE_Z = np.array([0.0, -0.0, 1e-300, -1e-300, 40.0, -40.0, 700.0, -700.0,
+                   1e6, -1e6, 1e300, -1e300])
+
+
+class TestKernelReference:
+    """The one-exp kernel against the logaddexp formulas it replaced."""
+
+    def test_log_sigmoid_matches_reference(self):
+        rng = np.random.default_rng(0)
+        z = np.concatenate([EDGE_Z, rng.normal(scale=3.0, size=500),
+                            rng.normal(scale=300.0, size=500)])
+        np.testing.assert_allclose(log_sigmoid(z), reference_log_sigmoid(z),
+                                   rtol=1e-13, atol=0.0)
+        for v in EDGE_Z:
+            np.testing.assert_allclose(log_sigmoid(v), reference_log_sigmoid(v),
+                                       rtol=1e-13, atol=0.0)
+
+    def test_log_sigmoid_of_zero_is_minus_log_two(self):
+        assert log_sigmoid(0.0) == -np.log(2.0)
+        assert log_sigmoid(-0.0) == -np.log(2.0)
+        assert np.all(log_sigmoid(np.zeros(3)) == -np.log(2.0))
+
+    def test_log_sigmoid_finite_and_nonpositive(self):
+        rng = np.random.default_rng(1)
+        big = np.finfo(np.float64).max
+        z = np.concatenate([EDGE_Z, [big, -big, 5e-324, -5e-324],
+                            rng.choice([-1.0, 1.0], 1000) * 10.0 ** rng.uniform(-300, 300, 1000)])
+        lp = log_sigmoid(z)
+        assert np.all(np.isfinite(lp))
+        assert np.all(lp <= 0.0)
+
+    @pytest.mark.parametrize("n, p, B", [(1, 1, 1), (7, 3, 1), (60, 5, 9),
+                                         (474, 73, 14), (300, 40, 37)])
+    def test_objective_matches_reference_on_random_problems(self, n, p, B):
+        rng = np.random.default_rng(n + p + B)
+        X = np.hstack([np.ones((n, 1)), rng.normal(size=(n, p - 1))])
+        T = rng.integers(0, 2, size=(n, B)).astype(float)
+        W = rng.random((n, B)) * (rng.random((n, B)) > 0.2)
+        params = rng.normal(scale=2.0, size=(p, B))
+        lam = rng.choice([0.0, 0.1, 10.0], size=B)
+        for args in [(params, X, T, W, lam), (params[:, 0], X, T[:, 0], W[:, 0], lam[0])]:
+            value, grad = objective_and_gradient(*args)
+            want_value, want_grad = reference_objective(*args)
+            # the value's terms share one sign; a gradient entry is a sum of
+            # n terms that may cancel, so its rtol is taken against the sum
+            # of their magnitudes (|x w| bounds each, as |residual| <= 1)
+            np.testing.assert_allclose(value, want_value, rtol=1e-13, atol=0.0)
+            terms = np.abs(args[1]).T @ np.abs(args[3])
+            assert np.all(np.abs(grad - want_grad) <= 1e-13 * terms)
+
+    @pytest.mark.parametrize("t", [0.0, 1.0])
+    def test_objective_matches_reference_at_edge_logits(self, t):
+        # one instance, the bias its only feature, so z is the feature itself
+        for z in EDGE_Z:
+            args = (np.ones(1), np.array([[z]]), np.array([t]), np.ones(1), 1.0)
+            value, grad = objective_and_gradient(*args)
+            want_value, want_grad = reference_objective(*args)
+            np.testing.assert_allclose(value, want_value, rtol=1e-13, atol=0.0)
+            np.testing.assert_allclose(grad, want_grad, rtol=1e-13, atol=0.0)
+            assert np.isfinite(value) and np.all(np.isfinite(grad))
 
 
 class TestTrainWeighted:
@@ -326,7 +406,7 @@ class TestMinimize:
         assert abs(model.params[1] - 15.09) < 0.01
 
     def test_non_finite_objective_raises(self, monkeypatch):
-        monkeypatch.setattr(logreg, "objective_and_gradient",
+        monkeypatch.setattr(logreg, "_objective",
                             lambda params, *args: (np.full(np.shape(params)[1:], np.nan),
                                                    np.zeros_like(params)))
         with pytest.raises(NumericError, match="non-finite objective"):
