@@ -1,7 +1,7 @@
 """Exception types shared across the toolkit, and the argument checks.
 
-Every error, and the one warning kind, carries a short machine-readable
-``code`` so the CLI can emit single-line, grep-able reports.
+Every error and warning kind carries a short machine-readable ``code`` so
+the CLI can emit single-line, grep-able reports.
 """
 
 import math
@@ -89,3 +89,9 @@ class DegenerateTargetWarning(RuntimeWarning):
     """A fit had no positive-weight instance, or all its targets were equal."""
 
     code = "degenerate-target"
+
+
+class UncertifiedMapWarning(RuntimeWarning):
+    """MAP search ran out of its node budget on some rows: not certified exact."""
+
+    code = "uncertified-map"

@@ -13,12 +13,13 @@ labels where they disagree.  An exhaustive enumerator is the test oracle.
 from __future__ import annotations
 
 import itertools
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import ctbn
-from .errors import GuardError, check_count
+from .errors import GuardError, UncertifiedMapWarning, check_count
 from .mixture import MixtureModel, _MixtureScorer, logsumexp
 
 ENUMERATION_GUARD = 20  # enumerate_map refuses label spaces beyond 2^20
@@ -32,7 +33,9 @@ class AnnealConfig:
 
     ``iterations`` is each row's node budget.  A row whose search would
     evaluate more nodes keeps its best candidate so far, which is never
-    below heuristic_init's; a budget of 1 returns heuristic_init's answer.
+    below heuristic_init's, and is uncertified: map_predict and
+    predict_dataset raise one UncertifiedMapWarning per call that has such
+    rows.  A budget of 1 returns heuristic_init's answer.
     ``seed`` changes no answer, since the search draws no random numbers;
     it is kept, and checked, for callers that set it.
     """
@@ -91,9 +94,12 @@ def _branch(rows, fixed, split):
     return rows[node], child
 
 
-def _search(scorer: _MixtureScorer, budget: int) -> tuple[np.ndarray, np.ndarray]:
+def _search(scorer: _MixtureScorer,
+            budget: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Branch and bound for every row of the scorer's batch.
 
+    Returns each row's labels (n, d), log-prob (n,) and whether the budget
+    dropped any of its nodes (n,), which leaves the row uncertified.
     One frontier of (row, fixed labels) nodes, kept in row order, serves up
     to SEARCH_ROWS rows; each round evaluates all of it at once.  A row's
     nodes, incumbent and budget depend on that row alone, so each row gets
@@ -102,6 +108,7 @@ def _search(scorer: _MixtureScorer, budget: int) -> tuple[np.ndarray, np.ndarray
     n, _, d = scorer.table.shape[:3]
     best, best_lp = np.zeros((n, d), dtype=np.int8), np.full(n, -np.inf)
     spent = np.zeros(n, dtype=np.intp)
+    dropped = np.zeros(n, dtype=bool)
     for start in range(0, n, SEARCH_ROWS):
         rows = np.arange(start, min(start + SEARCH_ROWS, n))
         fixed = np.full((len(rows), d), -1, dtype=np.int8)
@@ -116,7 +123,19 @@ def _search(scorer: _MixtureScorer, budget: int) -> tuple[np.ndarray, np.ndarray
             rows, fixed = _branch(rows[open_], fixed[open_], split[open_])
             rank = np.arange(len(rows)) - np.searchsorted(rows, rows)
             keep = rank < budget - spent[rows]
+            dropped[rows[~keep]] = True
             rows, fixed = rows[keep], fixed[keep]
+    return best, best_lp, dropped
+
+
+def _certified_search(scorer: _MixtureScorer,
+                      budget: int) -> tuple[np.ndarray, np.ndarray]:
+    """_search's labels and log-probs; warns once if the budget cut any row."""
+    best, best_lp, dropped = _search(scorer, budget)
+    if dropped.any():
+        warnings.warn(f"{int(dropped.sum())} row(s) ran out of the node budget of "
+                      f"{budget}; their labels may not be the exact MAP",
+                      UncertifiedMapWarning, stacklevel=3)
     return best, best_lp
 
 
@@ -136,9 +155,10 @@ def map_predict(
     """Exact MAP label vector of one row by branch and bound, with its log-prob.
 
     Equal to enumerate_map's answer within the node budget cfg.iterations;
-    never below heuristic_init's, and exact_map's for a single expert.
+    never below heuristic_init's, and exact_map's for a single expert.  A
+    row that runs out of the budget raises an UncertifiedMapWarning.
     """
-    best, best_lp = _search(_MixtureScorer(model, x), cfg.iterations)
+    best, best_lp = _certified_search(_MixtureScorer(model, x), cfg.iterations)
     return best[0], float(best_lp[0])
 
 
@@ -150,9 +170,11 @@ def predict_dataset(
     """MAP-predict every row of an (N, m+1) feature matrix.
 
     Rows are searched together; each row gets exactly map_predict's answer,
-    so results do not depend on batch order.
+    so results do not depend on batch order.  One UncertifiedMapWarning
+    counts the rows that ran out of the node budget, if any did.
     """
-    return _search(_MixtureScorer(model, features, batch=True), cfg.iterations)
+    return _certified_search(_MixtureScorer(model, features, batch=True),
+                             cfg.iterations)
 
 
 def all_label_vectors(d: int) -> np.ndarray:

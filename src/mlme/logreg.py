@@ -6,7 +6,11 @@ regularized.  Every fit, and the mixture's softmax gate, runs through
 ``minimize``: a numpy L-BFGS that solves B independent problems in lockstep
 over one design matrix, so fits that share the matrix share its products.
 It stops on the fixed settings in ``LBFGS_OPTIONS``; a warm-started EM
-M-step stops after at most ``EM_MSTEP_MAXITER`` iterations instead.  The
+M-step stops after at most ``EM_MSTEP_MAXITER`` iterations instead.  One
+scale-free rule decides convergence everywhere: a column's gradient grows
+with its weight mass (about 1 in structure scoring, about n in lambda
+selection, EM and the final refit), so column b stops once its gradient
+inf-norm is at most gtol * max(1, sum_n W[n, b]).  The
 objective/gradient pair is analytic and is checked against finite
 differences in the test suite; the solver is checked against scipy's
 L-BFGS-B there too.
@@ -24,7 +28,8 @@ from .errors import (ArgumentError, DegenerateTargetWarning, NumericError,
                      check_count, check_finite_nonnegative)
 
 
-# L-BFGS settings shared by every fit: CPDs, structure scoring and the gate
+# L-BFGS settings shared by every fit: CPDs, structure scoring and the gate;
+# gtol is per unit of weight mass, with a floor of one unit (see minimize)
 LBFGS_OPTIONS = {"maxiter": 500, "maxcor": 10, "gtol": 1e-6, "maxls": 20}
 # iteration cap of every warm-started M-step inside mixture.em_fit
 # (generalised EM: each M-step only has to raise its objective)
@@ -38,7 +43,7 @@ class LbfgsResult:
     """One lockstep solve: ``x`` is (p, B); ``nit`` and ``nfev`` sum over columns."""
 
     x: np.ndarray
-    converged: np.ndarray  # (B,) bool: the column's gradient reached gtol
+    converged: np.ndarray  # (B,) bool: the column met its gradient tolerance
     nit: int
     nfev: int
 
@@ -48,7 +53,7 @@ class LbfgsResult:
 
 
 def minimize(fg, x0: np.ndarray, what: str = "objective",
-             maxiter: int | None = None) -> LbfgsResult:
+             maxiter: int | None = None, mass=0.0) -> LbfgsResult:
     """Minimize B independent smooth functions in lockstep by L-BFGS.
 
     ``x0`` is (p, B).  ``fg(theta, cols)`` returns the values (b,) and the
@@ -57,14 +62,18 @@ def minimize(fg, x0: np.ndarray, what: str = "objective",
     its matrix products.  Each column keeps its own curvature pairs (the
     two-loop recursion, Nocedal & Wright alg. 7.4) and its own backtracking
     Armijo line search with quadratic interpolation.  With LBFGS_OPTIONS
-    read at call time, a column converges once its gradient inf-norm is at
-    most gtol; it stops unconverged when maxls trial steps find no
-    acceptable one, or after maxiter iterations (``maxiter``, when given,
-    overrides the option).  Stopped columns freeze and are not evaluated
-    again.  No column ends above its starting value: one whose accepted
-    steps added up to a rise (the approximate Wolfe test below tolerates
-    rounding-sized ones) returns its start, unconverged.  A non-finite
-    value raises NumericError naming ``what``.
+    read at call time, column b converges once its gradient inf-norm is at
+    most gtol * max(1, mass[b]).  ``mass`` (scalar or (B,)) is the weight
+    mass the column's objective sums over, so the rule does not depend on
+    the scale of the weights; the floor keeps a column of mass <= 1, and a
+    penalty-only one of mass 0, at the absolute gtol.  A column stops
+    unconverged when maxls trial steps find no acceptable one, or after
+    maxiter iterations (``maxiter``, when given, overrides the option).
+    Stopped columns freeze and are not evaluated again.  No column ends
+    above its starting value: one whose accepted steps added up to a rise
+    (the approximate Wolfe test below tolerates rounding-sized ones)
+    returns its start, unconverged.  A non-finite value raises
+    NumericError naming ``what``.
     """
     opts = dict(LBFGS_OPTIONS)
     if maxiter is not None:
@@ -73,7 +82,8 @@ def minimize(fg, x0: np.ndarray, what: str = "objective",
     f, g = _evaluate(fg, x, np.arange(x.shape[1]), what)
     f_start, f_end = f.copy(), f.copy()
     nfev, nit = x.shape[1], 0
-    converged = np.abs(g).max(axis=0, initial=0.0) <= opts["gtol"]
+    tol = opts["gtol"] * np.maximum(1.0, np.broadcast_to(mass, (x.shape[1],)))
+    converged = np.abs(g).max(axis=0, initial=0.0) <= tol
     live = np.flatnonzero(~converged)          # original column of each slot
     xs, f, g = x[:, live], f[live], g[:, live]
     pairs = []       # newest last: s, y, rho s, rho y; rho = 0 skips a column
@@ -125,7 +135,7 @@ def minimize(fg, x0: np.ndarray, what: str = "objective",
         pairs = (pairs + [(s, y, rho * s, rho * y)])[-opts["maxcor"]:]
         gamma = np.divide(sy, yy, out=gamma, where=curved)
         xs, f, g = x_new, f_new, g_new
-        done = np.abs(g).max(axis=0) <= opts["gtol"]
+        done = np.abs(g).max(axis=0) <= tol[live]
         stop = done | (it + 1 == opts["maxiter"])
         stop[search] = True                    # no acceptable step was found
         if stop.any():
@@ -230,12 +240,14 @@ def train_columns(X, T, W, lam, x0=None, maxiter=None) -> np.ndarray:
     Column b fits targets T[:, b] under weights W[:, b] and L2 strength
     ``lam`` (scalar or (B,)) on the shared design matrix X, all B fits in
     one lockstep ``minimize`` call from ``x0`` (p, B; zeros when None),
-    stopping after ``maxiter`` iterations when that is given.
+    stopping after ``maxiter`` iterations when that is given.  Column b
+    converges once its gradient inf-norm is at most
+    gtol * max(1, sum_n W[n, b]): gtol per unit of weight mass.
     Instances with zero weight do not influence a fit.  Degenerate targets
     (no effective instances, or all effective targets equal) surface a
     DegenerateTargetWarning, a RuntimeWarning; when all effective targets
     are equal the unpenalized bias has no finite optimum, and its fit stops
-    once the gradient is below gtol.
+    once the gradient is below that tolerance.
     """
     X = np.asarray(X, dtype=np.float64)
     sign = np.where(np.asarray(T) == 1, 1.0, -1.0)
@@ -263,7 +275,7 @@ def train_columns(X, T, W, lam, x0=None, maxiter=None) -> np.ndarray:
         return -value, -grad
 
     start = np.zeros((X.shape[1], B)) if x0 is None else x0
-    return minimize(fg, start, maxiter=maxiter).x
+    return minimize(fg, start, maxiter=maxiter, mass=W.sum(axis=0)).x
 
 
 def train_weighted(

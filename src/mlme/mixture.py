@@ -228,6 +228,8 @@ def m_step_gate(
     """Maximize the (concave) expected gate log-likelihood with L2 penalty.
 
     ``x0`` warm-starts the solve; ``maxiter`` caps its L-BFGS iterations.
+    The responsibilities of a row sum to 1, so the objective's weight mass
+    is n, and the solve converges at gtol * n (logreg.minimize).
     """
     check_finite_nonnegative(lam_gate, "lambda_gate")
     h = np.asarray(h, dtype=np.float64)
@@ -250,7 +252,7 @@ def m_step_gate(
                                                   h, lam_gate)
         return np.array([-value]), -grad[:, None]
 
-    res = minimize(fg, start[:, None], "gate objective", maxiter)
+    res = minimize(fg, start[:, None], "gate objective", maxiter, mass=data.n)
     return GatingModel(res.x.reshape(K, p))
 
 
@@ -339,7 +341,9 @@ def em_fit(
     from those assignments (warm-starting optimizers from ``init_model`` if
     given); otherwise ``init_model`` is used as-is; otherwise a first M-step
     runs from seeded, slightly perturbed uniform responsibilities.  That
-    initialization M-step solves to gtol (logreg.LBFGS_OPTIONS).
+    initialization M-step solves to gtol per unit of weight mass
+    (logreg.minimize): the gate to gtol * n, each CPD to gtol times its
+    weight sum.
 
     Each later M-step is a generalised one (Neal & Hinton, 1998): it
     warm-starts the gate and every CPD from the previous iterate and stops

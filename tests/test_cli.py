@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import two_regime_dataset
+from conftest import random_mixture, two_regime_dataset
 from mlme.cli import _config, build_parser, main
 from mlme.dataset import Dataset
 from mlme.inference import AnnealConfig, predict_dataset
@@ -58,6 +58,21 @@ class TestTrainPredict:
         assert len(first) == 3
         assert first[0] in "01" and first[1] in "01"
         assert float(first[2]) <= 0.0
+
+    def test_uncertified_rows_warn_on_one_mlme_line(self, tmp_path, capsys):
+        # a d=20, K=3 mixture on which 3 of these 100 rows need more search
+        # nodes than the budget of 150 (tests/test_inference.py counts them)
+        rng = np.random.default_rng(0)
+        model = random_mixture(rng, k=3, d=20, m=10, scale=0.3)
+        X = rng.normal(size=(100, 10))
+        save_model(model, tmp_path / "m.json")
+        np.savetxt(tmp_path / "x.csv", X, delimiter=",")
+        capsys.readouterr()
+        assert run(["predict", "--model", tmp_path / "m.json", "--data",
+                    tmp_path / "x.csv", "--out", tmp_path / "p.csv"]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "mlme: warning[uncertified-map] 3 row(s) ran out of the node budget "
+            "of 150; their labels may not be the exact MAP"]
 
     def test_degenerate_label_warns_on_mlme_lines_only(self, tmp_path, capsys):
         # an all-zero label column makes fits with equal (or no effective)

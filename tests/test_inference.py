@@ -1,4 +1,6 @@
+import contextlib
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ import pytest
 from conftest import random_expert, random_mixture, random_x
 from mlme import inference
 from mlme.ctbn import CtbnExpert, TreeStructure, exact_map, joint_log_prob
-from mlme.errors import ArgumentError, GuardError
+from mlme.errors import ArgumentError, GuardError, UncertifiedMapWarning
 from mlme.inference import (
     AnnealConfig,
     all_label_vectors,
@@ -24,6 +26,24 @@ from mlme.mixture import (
     logsumexp,
     mixture_log_prob,
 )
+
+
+def uncertified(model, X, budget):
+    """How many rows of X the search leaves uncertified under ``budget``."""
+    return int(inference._search(_MixtureScorer(model, X, batch=True), budget)[2].sum())
+
+
+@contextlib.contextmanager
+def budget_warning(rows):
+    """Expect one UncertifiedMapWarning naming ``rows`` rows, or none if 0."""
+    if rows:
+        with pytest.warns(UncertifiedMapWarning, match=rf"^{rows} row\(s\)") as caught:
+            yield
+        assert len(caught) == 1
+    else:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UncertifiedMapWarning)
+            yield
 
 
 class TestAnnealConfig:
@@ -123,7 +143,8 @@ class TestMapPredict:
             model = random_mixture(rng, k=3, d=5, m=2)
             x = random_x(rng, 2)
             init = heuristic_init(model, x)
-            y, lp = map_predict(model, x, AnnealConfig(iterations=1, seed=trial))
+            with budget_warning(uncertified(model, x[None], 1)):
+                y, lp = map_predict(model, x, AnnealConfig(iterations=1, seed=trial))
             np.testing.assert_array_equal(y, init)
             assert lp == mixture_log_prob(model, x, init)
 
@@ -347,9 +368,11 @@ class TestBranchAndBound:
     def test_batch_equals_single_row(self, family):
         for model, X in random_cases(family, 204):
             for cfg in (AnnealConfig(), AnnealConfig(iterations=3)):
-                preds, logps = predict_dataset(model, X, cfg)
+                with budget_warning(uncertified(model, X, cfg.iterations)):
+                    preds, logps = predict_dataset(model, X, cfg)
                 for r, x in enumerate(X):
-                    y, lp = map_predict(model, x, cfg)
+                    with budget_warning(uncertified(model, x[None], cfg.iterations)):
+                        y, lp = map_predict(model, x, cfg)
                     assert y.tobytes() == preds[r].tobytes()
                     assert np.float64(lp).tobytes() == logps[r].tobytes()
 
@@ -365,7 +388,8 @@ class TestBranchAndBound:
 
     def test_budget_of_one_returns_heuristic_init(self, family):
         for model, X in random_cases(family, 206):
-            preds, logps = predict_dataset(model, X, AnnealConfig(iterations=1))
+            with budget_warning(uncertified(model, X, 1)):
+                preds, logps = predict_dataset(model, X, AnnealConfig(iterations=1))
             for r, x in enumerate(X):
                 init = heuristic_init(model, x)
                 assert preds[r].tobytes() == init.tobytes()
@@ -374,7 +398,8 @@ class TestBranchAndBound:
     def test_small_budget_between_init_and_oracle(self, family):
         for model, X in random_cases(family, 207):
             for budget in (2, 5, 9):
-                _, logps = predict_dataset(model, X, AnnealConfig(iterations=budget))
+                with budget_warning(uncertified(model, X, budget)):
+                    _, logps = predict_dataset(model, X, AnnealConfig(iterations=budget))
                 for r, x in enumerate(X):
                     init = mixture_log_prob(model, x, heuristic_init(model, x))
                     assert init <= logps[r] <= enumerate_map(model, x)[1]
@@ -396,8 +421,10 @@ class TestBranchAndBound:
         monkeypatch.setattr(inference, "_evaluate", counting)
         for model, X in random_cases(family, 209, trials=15):
             for budget in (1, 2, 5, 9):
+                rows = uncertified(model, X, budget)
                 evaluated.clear()
-                predict_dataset(model, X, AnnealConfig(iterations=budget))
+                with budget_warning(rows):
+                    predict_dataset(model, X, AnnealConfig(iterations=budget))
                 per_row = np.bincount(np.concatenate(evaluated), minlength=len(X))
                 assert per_row.max() <= budget and per_row.min() >= 1
 
@@ -434,10 +461,12 @@ class TestLockstepAnnealing:
         for iterations, n in itertools.product((1, 25, 150), (1, 7, 20)):
             X = np.hstack([np.ones((n, 1)), rng.normal(size=(n, 3))])
             cfg = AnnealConfig(iterations=iterations, seed=int(rng.integers(1000)))
-            preds, logps = predict_dataset(model, X, cfg)
+            with budget_warning(uncertified(model, X, iterations)):
+                preds, logps = predict_dataset(model, X, cfg)
             assert preds.dtype == np.int8
             for r, x in enumerate(X):
-                y, lp = map_predict(model, x, cfg)
+                with budget_warning(uncertified(model, x[None], iterations)):
+                    y, lp = map_predict(model, x, cfg)
                 assert y.tobytes() == preds[r].tobytes()
                 assert np.float64(lp).tobytes() == logps[r].tobytes()
                 init = heuristic_init(model, x)
@@ -491,3 +520,54 @@ class TestFeatureWidth:
         preds, logps = predict_dataset(model, np.ones((0, 4)))
         assert preds.shape == (0, 4) and preds.dtype == np.int8
         assert logps.shape == (0,)
+
+
+class TestUncertifiedRows:
+    """A row whose search runs out of the node budget is flagged by a warning."""
+
+    @staticmethod
+    def nodes_per_row(model, X, monkeypatch):
+        """Nodes each row's unbounded search evaluates (frontier sizes at _evaluate)."""
+        evaluated = []
+
+        def counting(scorer, rows, fixed):
+            evaluated.append(rows)
+            return evaluate(scorer, rows, fixed)
+
+        evaluate = inference._evaluate
+        monkeypatch.setattr(inference, "_evaluate", counting)
+        predict_dataset(model, X, AnnealConfig(iterations=10 ** 9))
+        monkeypatch.undo()
+        return np.bincount(np.concatenate(evaluated), minlength=len(X))
+
+    # the seeds give inputs with none and with some rows over the budget
+    @pytest.mark.parametrize("seed, n_over", [(0, 3), (1, 1), (2, 0), (3, 2)])
+    def test_warned_count_is_the_rows_over_budget(self, seed, n_over, monkeypatch):
+        rng = np.random.default_rng(seed)
+        model = random_mixture(rng, k=3, d=20, m=10, scale=0.3)
+        X = np.hstack([np.ones((100, 1)), rng.normal(size=(100, 10))])
+        budget = AnnealConfig().iterations
+        over = self.nodes_per_row(model, X, monkeypatch) > budget
+        assert over.sum() == n_over
+        with budget_warning(n_over):
+            predict_dataset(model, X)
+        for r in np.flatnonzero(over)[:2]:
+            with pytest.warns(UncertifiedMapWarning,
+                              match=rf"^1 row\(s\) .* node budget of {budget};"):
+                map_predict(model, X[r])
+        for r in np.flatnonzero(~over)[:5]:
+            with budget_warning(0):
+                map_predict(model, X[r])
+        with budget_warning(0):
+            for x in X[over]:
+                heuristic_init(model, x)       # a budget of 1 by design
+
+    @pytest.mark.parametrize("scale", [0.1, 0.3, 1.5])
+    def test_bench_shaped_mixtures_do_not_warn(self, scale):
+        rng = np.random.default_rng(17)
+        model = random_mixture(rng, k=3, d=6, m=72, scale=scale)
+        X = np.hstack([np.ones((200, 1)), rng.normal(size=(200, 72))])
+        with budget_warning(0):
+            predict_dataset(model, X)
+            for x in X[:20]:
+                map_predict(model, x)

@@ -397,13 +397,14 @@ class TestMinimize:
 
     def test_unregularized_separable_points_converge(self):
         # lam = 0 on separable data has no finite optimum, but the gradient
-        # falls below gtol at a finite slope, so no ridge floor is needed
+        # falls below its tolerance, gtol per unit of weight mass (4 here),
+        # at a finite slope, so no ridge floor is needed
         X = np.array([[1.0, -2.0], [1.0, -1.0], [1.0, 1.0], [1.0, 2.0]])
         t = np.array([0.0, 0.0, 1.0, 1.0])
         model = train_weighted(X, t, np.ones(4), lam=0.0)
         _, grad = objective_and_gradient(model.params, X, t, np.ones(4), 0.0)
-        assert np.abs(grad).max() <= LBFGS_OPTIONS["gtol"]
-        assert abs(model.params[1] - 15.09) < 0.01
+        assert np.abs(grad).max() <= LBFGS_OPTIONS["gtol"] * 4
+        assert abs(model.params[1] - 13.70) < 0.01
 
     def test_non_finite_objective_raises(self, monkeypatch):
         monkeypatch.setattr(logreg, "_objective",
@@ -418,3 +419,63 @@ class TestMinimize:
         data = Dataset.from_raw(np.zeros((4, 1)), np.zeros((4, 1), dtype=int))
         with pytest.raises(NumericError, match="non-finite gate objective"):
             mixture.m_step_gate(np.full((4, 2), 0.5), data, 1.0)
+
+
+class TestScaleFreeStop:
+    """Column b stops at gtol * max(1, sum_n W[n, b]): gtol per unit of mass."""
+
+    @staticmethod
+    def fit(monkeypatch, X, T, W, lam, x0=None):
+        """train_columns' params with the LbfgsResult of its solve."""
+        results = []
+
+        def recording(*args, **kwargs):
+            results.append(minimize(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(logreg, "minimize", recording)
+        params = logreg.train_columns(X, T, W, lam, x0)
+        monkeypatch.undo()
+        return params, results[0]
+
+    @pytest.mark.parametrize("c", [10.0, 1000.0])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_scaled_weights_and_lambda_give_the_same_fit(self, monkeypatch, seed, c):
+        # (c W, c lam) has c times the objective and gradient of (W, lam), so
+        # a scale-free rule follows the same path and stops at the same point
+        rng = np.random.default_rng(seed)
+        n, m = 300, 6
+        X = np.hstack([np.ones((n, 1)), rng.normal(size=(n, m))])
+        T = (X @ rng.normal(size=(m + 1, 1)) + rng.logistic(size=(n, 1)) > 0).astype(float)
+        W = rng.uniform(0.5, 1.5, size=(n, 1))
+        base, res = self.fit(monkeypatch, X, T, W, 0.3)
+        scaled, res_c = self.fit(monkeypatch, X, T, c * W, c * 0.3)
+        assert res.success and res_c.success
+        assert abs(res_c.nit - res.nit) <= 2
+        np.testing.assert_allclose(scaled, base, rtol=1e-6, atol=0.0)
+
+    def test_floor_keeps_light_columns_at_the_absolute_gtol(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        X, T, W, lam, x0, _ = random_columns(rng, 3)
+        W[:, 0] = 0.0                       # penalty-only, warm-started
+        x0[:, 0] = rng.normal(size=X.shape[1])
+        W[:, 1] *= 0.5 / W[:, 1].sum()      # mass 0.5 < 1; column 2 is heavier
+        zero, res0 = self.fit(monkeypatch, X, T[:, :1], W[:, :1], lam[:1], x0[:, :1])
+        assert res0.success and res0.nit <= 3
+        np.testing.assert_allclose(zero[1:], 0.0, atol=LBFGS_OPTIONS["gtol"] / lam[0])
+        light = slice(0, 2)
+        params, res = self.fit(monkeypatch, X, T[:, light], W[:, light], lam[light],
+                               x0[:, light])
+        plain = minimize(column_problem(X, T[:, light], W[:, light], lam[light]),
+                         x0[:, light])     # the absolute gtol
+        assert res.success and res.nit == plain.nit
+        assert params.tobytes() == plain.x.tobytes()
+        # a heavier column stops sooner, at gtol per unit of its mass
+        heavy = slice(2, 3)
+        mass = W[:, 2].sum()
+        assert mass > 10
+        params, res = self.fit(monkeypatch, X, T[:, heavy], W[:, heavy], lam[heavy],
+                               x0[:, heavy])
+        _, grad = objective_and_gradient(params[:, 0], X, T[:, 2], W[:, 2], lam[2])
+        assert res.success
+        assert LBFGS_OPTIONS["gtol"] < np.abs(grad).max() <= LBFGS_OPTIONS["gtol"] * mass
