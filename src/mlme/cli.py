@@ -29,6 +29,14 @@ def _float_list(text: str) -> tuple[float, ...]:
     return tuple(float(s) for s in text.split(",") if s)
 
 
+def _name_list(text: str) -> list[str]:
+    """argparse type of --label-names: comma-separated names, at least one."""
+    names = [s for s in text.split(",") if s]
+    if not names:
+        raise argparse.ArgumentTypeError("needs at least one name")
+    return names
+
+
 class _Parser(argparse.ArgumentParser):
     """Raises ArgumentError on a usage error, so main reports one line."""
 
@@ -36,15 +44,17 @@ class _Parser(argparse.ArgumentParser):
         raise ArgumentError(message)
 
 
+_ARFF_HELP = ("comma-separated ARFF label names; the data file is ARFF "
+              "exactly when they are given")
+
+
 def _add_data_args(p):
-    # --labels (CSV) vs --label-names (ARFF) is validated at load time
     p.add_argument("--data", required=True, help="input CSV or ARFF file")
-    p.add_argument("--labels", type=int, default=None,
-                   help="number of trailing label columns (CSV)")
-    p.add_argument("--arff", action="store_true",
-                   help="treat the data file as ARFF")
-    p.add_argument("--label-names", default=None,
-                   help="comma-separated ARFF label attribute names")
+    # the one flag given names the format: CSV label count or ARFF names
+    fmt = p.add_mutually_exclusive_group()
+    fmt.add_argument("--labels", type=int, default=None,
+                     help="number of trailing label columns (CSV)")
+    fmt.add_argument("--label-names", type=_name_list, help=_ARFF_HELP)
 
 
 def _add_train_args(p):
@@ -75,9 +85,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("predict", help="MAP-predict labels for a data file")
     p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--arff", action="store_true")
-    p.add_argument("--label-names", default=None)
+    p.add_argument("--data", required=True, help="input CSV or ARFF file")
+    p.add_argument("--label-names", type=_name_list, help=_ARFF_HELP)
     p.add_argument("--out", required=True, help="output prediction CSV")
 
     p = sub.add_parser("evaluate", help="score a saved model on labeled data")
@@ -104,15 +113,9 @@ def _config(cls, args):
                   if f.name in given})
 
 
-def _label_names(args) -> list[str]:
-    if not args.label_names:
-        raise ArgumentError("--arff requires --label-names")
-    return [s for s in args.label_names.split(",") if s]
-
-
 def _load_labeled(args, d_hint=None) -> Dataset:
-    if args.arff:
-        return load_arff(args.data, _label_names(args))
+    if args.label_names is not None:
+        return load_arff(args.data, args.label_names)
     d = args.labels if args.labels is not None else d_hint
     if d is None:
         raise ArgumentError("--labels is required for CSV data")
@@ -135,7 +138,7 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     model, scaler = load_model(args.model)
     features = read_features(args.data, model.n_features - 1, model.d,
-                             _label_names(args) if args.arff else None)
+                             args.label_names)
     if scaler is not None:
         features = scaler.transform_features(features)
     preds, logps = predict_dataset(model, features)

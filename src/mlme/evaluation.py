@@ -209,7 +209,7 @@ def cross_validate(
         results.append(evaluate_model(model, test_t, wall_time=elapsed,
                                       baseline_preds=baseline))
     return EvalReport(tuple(results), {
-        "folds": k,
+        "folds": int(k),  # split_folds checked it is an integer
         "seed": trainer.seed,
         "standardize": standardize,
         "trainer": trainer.to_dict(),

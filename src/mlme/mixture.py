@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import ctbn
-from .ctbn import CtbnExpert, TreeStructure, train_experts, train_parameters
+from .ctbn import CtbnExpert, TreeStructure, train_experts
 from .dataset import Dataset, holdout_split
 from .errors import (ArgumentError, EmMonotonicityError, check_count,
                      check_finite_nonnegative, check_width)
@@ -296,6 +296,11 @@ class TrainConfig:
             raise ArgumentError("lambda_grid must be nonempty")
         for lam in self.lambda_grid:
             check_finite_nonnegative(lam, "every lambda_grid value")
+        # numpy scalars become equal Python ones, so the config serializes
+        for name in ("max_experts", "lam", "em_max_iters", "seed"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name)).item())
+        object.__setattr__(self, "lambda_grid",
+                           tuple(np.asarray(v).item() for v in self.lambda_grid))
 
     def to_dict(self) -> dict:
         doc = asdict(self)
@@ -315,35 +320,24 @@ def _tagged_seed(base: int, *tags: int) -> int:
     return int(np.random.SeedSequence(base, spawn_key=tags).generate_state(1)[0])
 
 
-def _resolve_lambda(data, config) -> float:
-    lam = config.lam
-    if lam is None:
-        lam = select_lambda(data, config.lambda_grid,
-                            seed=_tagged_seed(config.seed, 0))
-    return float(lam)
-
-
 def em_fit(
     structures: Sequence[TreeStructure],
     data: Dataset,
-    config: TrainConfig = TrainConfig(),
+    config: TrainConfig,
     init_model: Optional[MixtureModel] = None,
     init_responsibilities: Optional[np.ndarray] = None,
 ) -> EmResult:
     """Generalised EM on fixed structures: alternate E- and M-steps.
 
-    One L2 strength, ``config.lam`` (picked from ``config.lambda_grid``
-    when None), penalizes every CPD and the gate.  The trace records the
-    regularized observed log-likelihood after the initialization and after
-    every EM iteration; it must never decrease by more than 1e-6 (anything
-    larger is an internal-consistency failure).
-    Initialization: ``init_responsibilities`` triggers an immediate M-step
-    from those assignments (warm-starting optimizers from ``init_model`` if
-    given); otherwise ``init_model`` is used as-is; otherwise a first M-step
-    runs from seeded, slightly perturbed uniform responsibilities.  That
-    initialization M-step solves to gtol per unit of weight mass
-    (logreg.minimize): the gate to gtol * n, each CPD to gtol times its
-    weight sum.
+    ``config.lam``, which must be set, is the one L2 strength of every CPD
+    and the gate.  The trace records the regularized observed
+    log-likelihood after the initialization and after every EM iteration;
+    it must never decrease by more than 1e-6 (anything larger is an
+    internal-consistency failure).  Initialization: ``init_model`` as-is,
+    else a cold first M-step from ``init_responsibilities`` (give at most
+    one of the two), else from seeded, slightly perturbed uniform ones.
+    That M-step solves to gtol per unit of weight mass (logreg.minimize):
+    the gate to gtol * n, each CPD to gtol times its weight sum.
 
     Each later M-step is a generalised one (Neal & Hinton, 1998): it
     warm-starts the gate and every CPD from the previous iterate and stops
@@ -355,26 +349,31 @@ def em_fit(
 
     With K=1 every responsibility is 1 (any ``init_responsibilities`` are
     replaced by ones), so one converged M-step is the whole fit: from
-    fresh responsibilities the trace holds the initialization alone, and
-    from an ``init_model`` one uncapped M-step follows it.
+    responsibilities the trace holds the initialization alone, and from an
+    ``init_model`` one uncapped M-step follows it.
     """
     structures = list(structures)
     if not structures:
         raise ArgumentError("need at least one structure")
+    if config.lam is None:
+        raise ArgumentError("em_fit needs a fixed lambda, got config.lam=None")
+    if init_model is not None and init_responsibilities is not None:
+        raise ArgumentError("give init_model or init_responsibilities, not both")
     K = len(structures)
-    lam = _resolve_lambda(data, config)
+    lam = float(config.lam)
     if init_model is not None and init_model.k != K:
         raise ArgumentError("init_model expert count must match structures")
 
-    def m_step(h, warm, maxiter=None):
+    def m_step(h, warm=None, maxiter=None):
         gate = m_step_gate(h, data, lam,
                            None if warm is None else warm.gating, maxiter)
         experts = m_step_experts(h, data, structures, lam,
                                  None if warm is None else warm.experts, maxiter)
         return MixtureModel(experts, gate)
 
-    initial_m_step = init_responsibilities is not None or init_model is None
-    if initial_m_step:
+    if init_model is not None:
+        model = init_model
+    else:
         if init_responsibilities is not None:
             h0 = np.asarray(init_responsibilities, dtype=np.float64)
             if h0.shape != (data.n, K):
@@ -385,14 +384,12 @@ def em_fit(
             h0 /= h0.sum(axis=1, keepdims=True)
         if K == 1:
             h0 = np.ones((data.n, 1))
-        model = m_step(h0, init_model)
-    else:
-        model = init_model
+        model = m_step(h0)
 
     if K == 1:
         # the lone expert's responsibilities are all 1, so one converged
         # M-step is the whole fit: the initial one, else one uncapped step
-        n_iters, cap = (0 if initial_m_step else 1), None
+        n_iters, cap = (0 if init_model is None else 1), None
     else:
         n_iters, cap = config.em_max_iters, EM_MSTEP_MAXITER
     # each iterate is scored once: L gives its objective and the next E-step
@@ -417,23 +414,26 @@ def em_fit(
 def grow_mixture(data: Dataset, config: TrainConfig = TrainConfig()) -> MixtureModel:
     """Grow a mixture one tree at a time on residual-weighted data.
 
-    Instances start uniformly weighted; each round learns a structure on the
-    current weights, refits the enlarged mixture by EM on an internal train
-    split, and keeps it only while the internal test log-likelihood does not
-    get worse.  Weights for the next round are the renormalized prediction
-    error margins 1 - P(y|x, mixture).  Finally the accepted structures are
-    refit on the full data; the returned model's meta carries the full
-    growth log.
+    ``config.lam``, or select_lambda's pick from ``config.lambda_grid``,
+    serves every fit.  Instances start uniformly weighted; each round learns
+    a structure on the current weights, refits the enlarged mixture by EM
+    on an internal train split, and keeps it only while the internal test
+    log-likelihood does not get worse.  Weights for the next round are the
+    renormalized prediction error margins 1 - P(y|x, mixture), and EM on
+    the next mixture starts from responsibilities alone.  Finally the
+    accepted structures are refit on the full data, warm-started from the
+    last accepted mixture; the returned model's meta carries the growth log.
     """
     if data.n < 5:
         raise ArgumentError("mixture growth needs at least 5 instances")
-    lam = _resolve_lambda(data, config)
+    lam = float(config.lam if config.lam is not None else select_lambda(
+        data, config.lambda_grid, seed=_tagged_seed(config.seed, 0)))
     em_config = replace(config, lam=lam)
     (itr, _), (ite, _) = holdout_split(
         data, np.ones(data.n), INTERNAL_TEST_RATIO, _tagged_seed(config.seed, 2))
 
     omega = np.full(itr.n, 1.0 / itr.n)
-    margins: Optional[np.ndarray] = None
+    init_h: Optional[np.ndarray] = None  # round 1: seeded responsibilities
     accepted: list[TreeStructure] = []
     current: Optional[MixtureModel] = None
     current_test_ll = -np.inf
@@ -442,21 +442,8 @@ def grow_mixture(data: Dataset, config: TrainConfig = TrainConfig()) -> MixtureM
     for k in range(1, config.max_experts + 1):
         structure = learn_structure(itr, omega, lam,
                                     seed=_tagged_seed(config.seed, 3, k))
-        if current is None:
-            init = None
-            init_h = None
-        else:
-            # the new expert starts out owning the poorly-explained mass:
-            # its responsibility column is the error margin, the previous
-            # experts share the remainder in their current posterior ratios
-            new_expert = train_parameters(structure, itr, omega * itr.n, lam)
-            gate = GatingModel(np.vstack(
-                [current.gating.theta, np.zeros((1, data.features.shape[1]))]))
-            init = MixtureModel(current.experts + (new_expert,), gate)
-            init_h = np.hstack(
-                [(1.0 - margins)[:, None] * h_prev, margins[:, None]])
         fit = em_fit(accepted + [structure], itr, em_config,
-                     init_model=init, init_responsibilities=init_h)
+                     init_responsibilities=init_h)
         test_ll = observed_log_likelihood(fit.model, ite)
         entry = {
             "k": k,
@@ -482,7 +469,10 @@ def grow_mixture(data: Dataset, config: TrainConfig = TrainConfig()) -> MixtureM
             rounds.append({"k": k + 1, "stopped": "zero residual weights"})
             break
         omega = margins / total
-        h_prev = _posteriors(L)
+        # the new expert starts out owning the margins; the accepted experts
+        # share the rest in their posterior ratios
+        init_h = np.hstack([(1.0 - margins)[:, None] * _posteriors(L),
+                            margins[:, None]])
 
     final = em_fit(accepted, data, em_config, init_model=current)
     meta = {

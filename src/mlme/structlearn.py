@@ -155,10 +155,10 @@ def learn_structure(
     fits on the rest.
 
     ``lam``'s strength depends on the mass of ``w``: grow_mixture passes
-    omega (mass 1), while select_lambda, the new expert's fit and EM see
-    mass n, so structure scoring penalizes about n times harder.  Its fits
-    stop at the absolute gtol, the floor of logreg.minimize's rule of gtol
-    per unit of weight mass, since omega's parts never weigh more than 1.
+    omega (mass 1), while select_lambda and EM see mass n, so structure
+    scoring penalizes about n times harder.  Its fits stop at the absolute
+    gtol, the floor of logreg.minimize's rule of gtol per unit of weight
+    mass, since omega's parts never weigh more than 1.
     """
     (train, train_w), (hold, hold_w) = holdout_split(data, w, HOLDOUT_RATIO, seed)
     return maximum_branching(build_graph(train, train_w, hold, hold_w, lam))

@@ -167,7 +167,7 @@ class TestTrainPredict:
             rows = ([f"@attribute f{j} numeric" for j in range(width)]
                     + ["@attribute L1 {0,1}", "@attribute L2 {0,1}", "@data"]
                     + rows)
-            args += ["--arff", "--label-names", "L1,L2"]
+            args += ["--label-names", "L1,L2"]
         bad.write_text("\n".join(rows) + "\n")
         assert run(args) == 2
         assert capsys.readouterr().err == (
@@ -210,6 +210,9 @@ class TestTrainPredict:
         ("missing-data-cv-folds-one", "argument"),
         ("missing-data-cv-folds-zero", "argument"),
         ("missing-data-arff-label-names-empty", "argument"),
+        ("missing-data-labels-and-label-names", "argument"),
+        ("missing-model-predict-label-names-empty", "argument"),
+        ("missing-data-arff-removed", "argument"),
         ("missing-model-predict-anneal-iters-zero", "argument"),
         ("missing-model-evaluate-seed-negative", "argument"),
         ("missing-model-evaluate-seed-removed", "argument"),
@@ -272,7 +275,18 @@ class TestTrainPredict:
                     "missing-data-cv-folds-one": cv + ["--folds", "1"],
                     "missing-data-cv-folds-zero": cv + ["--folds", "0"],
                     "missing-data-arff-label-names-empty":
-                        ["train", "--data", gone, "--arff", "--label-names", ","],
+                        ["train", "--data", gone, "--label-names", ","],
+                    # --label-names makes the data ARFF: it excludes
+                    # --labels, and the old --arff flag is gone
+                    "missing-data-labels-and-label-names":
+                        ["evaluate", "--model", gone, "--data", gone,
+                         "--labels", 2, "--label-names", "L1,L2"],
+                    "missing-model-predict-label-names-empty":
+                        ["predict", "--model", gone, "--data", gone,
+                         "--label-names", ","],
+                    "missing-data-arff-removed":
+                        ["train", "--data", gone, "--arff",
+                         "--label-names", "L1,L2"],
                     "missing-model-predict-anneal-iters-zero":
                         ["predict", "--model", gone, "--data", gone,
                          "--anneal-iters", "0"],
@@ -288,7 +302,7 @@ class TestTrainPredict:
             data = tmp_path / "bad.arff"
             data.write_text("@relation t\n@attribute f1 numeric\n@attribute L1 numeric\n"
                             "@attribute L1 numeric\n@data\n0.5,1,0\n")
-            args = ["train", "--data", data, "--arff", "--label-names", "L1"]
+            args = ["train", "--data", data, "--label-names", "L1"]
         elif case == "train-without-data":
             args = ["train", "--labels", 2]
         elif case == "no-subcommand":
@@ -299,7 +313,7 @@ class TestTrainPredict:
             data = tmp_path / "bad.arff"
             data.write_text("@relation t\n@attribute f1 numeric\n"
                             f"@attribute L1 numeric\n@data\n0.5,1\n{bad_row}\n")
-            args = ["train", "--data", data, "--arff", "--label-names", "L1"]
+            args = ["train", "--data", data, "--label-names", "L1"]
         capsys.readouterr()
         # pytest would swallow a RuntimeWarning line printed before the error
         with warnings.catch_warnings(record=True) as caught:
@@ -348,7 +362,7 @@ class TestTrainPredict:
     def test_every_dest_is_a_config_field_or_cli_only(self):
         # _config drops a flag that names no field, so a flag must name one
         # or be read by the command itself
-        cli_only = {"help", "data", "labels", "arff", "label_names", "model",
+        cli_only = {"help", "data", "labels", "label_names", "model",
                     "out", "folds", "no_standardize"}
         fields = {f.name for f in dataclasses.fields(TrainConfig)}
         sub = next(a for a in build_parser()._actions
@@ -527,7 +541,7 @@ class TestArffCli:
 
     def test_train_from_arff(self, tmp_path, toy_arff):
         model_path = tmp_path / "m.json"
-        assert run(["train", "--data", toy_arff, "--arff",
+        assert run(["train", "--data", toy_arff,
                     "--label-names", "L1,L2", "--out", model_path,
                     "--max-experts", 1, "--lambda", 0.5]) == 0
         model, _ = load_model(model_path)
@@ -535,15 +549,15 @@ class TestArffCli:
 
     def test_predict_and_evaluate_from_arff(self, tmp_path, toy_arff):
         model_path = tmp_path / "m.json"
-        run(["train", "--data", toy_arff, "--arff", "--label-names", "L1,L2",
+        run(["train", "--data", toy_arff, "--label-names", "L1,L2",
              "--out", model_path, "--max-experts", 1, "--lambda", 0.5])
         preds = tmp_path / "p.csv"
         assert run(["predict", "--model", model_path, "--data", toy_arff,
-                    "--arff", "--label-names", "L1,L2", "--out", preds]) == 0
+                    "--label-names", "L1,L2", "--out", preds]) == 0
         assert len(preds.read_text().strip().splitlines()) == 16
         report = tmp_path / "r.json"
         assert run(["evaluate", "--model", model_path, "--data", toy_arff,
-                    "--arff", "--label-names", "L1,L2", "--out", report]) == 0
+                    "--label-names", "L1,L2", "--out", report]) == 0
         doc = json.loads(report.read_text())
         assert 0.0 <= doc["per_fold"][0]["ema"] <= 1.0
 
@@ -551,7 +565,7 @@ class TestArffCli:
         # test sets ship with '?' label cells: predict never parses them,
         # and gives the same rows as on the labeled file
         model_path = tmp_path / "m.json"
-        run(["train", "--data", toy_arff, "--arff", "--label-names", "L1,L2",
+        run(["train", "--data", toy_arff, "--label-names", "L1,L2",
              "--out", model_path, "--max-experts", 1, "--lambda", 0.5])
         lines = toy_arff.read_text().splitlines()
         at = lines.index("@data") + 1
@@ -563,19 +577,19 @@ class TestArffCli:
         for name, data in (("labeled", toy_arff), ("unlabeled", unlabeled)):
             preds[name] = tmp_path / f"{name}.csv"
             assert run(["predict", "--model", model_path, "--data", data,
-                        "--arff", "--label-names", "L1,L2",
+                        "--label-names", "L1,L2",
                         "--out", preds[name]]) == 0
         assert preds["labeled"].read_bytes() == preds["unlabeled"].read_bytes()
         capsys.readouterr()
         rc = run(["evaluate", "--model", model_path, "--data", unlabeled,
-                  "--arff", "--label-names", "L1,L2", "--out", tmp_path / "r.json"])
+                  "--label-names", "L1,L2", "--out", tmp_path / "r.json"])
         assert rc == 2
         assert capsys.readouterr().err == (
             "mlme: error[parse] row 1: could not parse value '?'\n")
 
     def test_repeated_label_name_is_schema_error(self, tmp_path, toy_arff,
                                                  capsys):
-        rc = run(["train", "--data", toy_arff, "--arff", "--label-names",
+        rc = run(["train", "--data", toy_arff, "--label-names",
                   "L1,L2,L1", "--out", tmp_path / "m.json"])
         err = capsys.readouterr().err
         assert rc == 2
@@ -585,12 +599,19 @@ class TestArffCli:
     def test_predict_arff_without_label_names_errors(self, tmp_path, toy_arff,
                                                      capsys):
         model_path = tmp_path / "m.json"
-        run(["train", "--data", toy_arff, "--arff", "--label-names", "L1,L2",
+        run(["train", "--data", toy_arff, "--label-names", "L1,L2",
              "--out", model_path, "--max-experts", 1, "--lambda", 0.5])
-        rc = run(["predict", "--model", model_path, "--data", toy_arff,
-                  "--arff", "--out", tmp_path / "p.csv"])
-        assert rc == 2
-        assert "error[argument]" in capsys.readouterr().err
+        capsys.readouterr()
+        # --label-names is what makes a file ARFF: without it the file is
+        # CSV, and its header is no number; the old --arff flag is gone
+        for flags, err in (([], "error[parse] row 1: could not parse value "
+                                "'@relation toy'"),
+                           (["--arff"], "error[argument] unrecognized "
+                                        "arguments: --arff")):
+            rc = run(["predict", "--model", model_path, "--data", toy_arff,
+                      *flags, "--out", tmp_path / "p.csv"])
+            assert rc == 2
+            assert capsys.readouterr().err == f"mlme: {err}\n"
 
 
 @pytest.mark.parametrize("case, code", [
@@ -621,7 +642,7 @@ def test_csv_and_arff_reject_a_bad_table_alike(tmp_path, capsys, case, code):
         for n in names) + "@data\n" + body)
     errors = []
     for data in (["--data", csv, "--labels", 2],
-                 ["--data", arff, "--arff", "--label-names", "L1,L2"]):
+                 ["--data", arff, "--label-names", "L1,L2"]):
         rc = run(["train", *data, "--max-experts", 1, "--lambda", 0.5,
                   "--out", tmp_path / "m.json"])
         errors.append((rc, capsys.readouterr().err))

@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -12,7 +13,7 @@ from conftest import (
     random_x,
     two_regime_dataset,
 )
-from mlme import logreg, mixture
+from mlme import ctbn, logreg, mixture, structlearn
 from mlme.ctbn import (
     TreeStructure,
     exact_map,
@@ -22,9 +23,10 @@ from mlme.ctbn import (
 )
 from mlme.dataset import Dataset, Standardizer
 from mlme.errors import ArgumentError
-from mlme.evaluation import cll_loss
+from mlme.evaluation import cll_loss, cross_validate
 from mlme.inference import all_label_vectors
 from mlme.logreg import LinearModel
+from mlme.model_io import load_model, save_model
 from mlme.mixture import (
     GatingModel,
     MixtureModel,
@@ -398,6 +400,21 @@ class TestEmFit:
         with pytest.raises(ArgumentError):
             em_fit([], data, TrainConfig(lam=0.5))
 
+    def test_rejects_unset_lambda(self):
+        # grow_mixture selects lambda once; em_fit fits at the one it is given
+        rng = np.random.default_rng(24)
+        data, _ = expert_dataset(rng, n=20, d=2, m=2)
+        with pytest.raises(ArgumentError, match="lam"):
+            em_fit([TreeStructure((None, 0))], data, TrainConfig())
+
+    def test_rejects_init_model_with_responsibilities(self):
+        rng = np.random.default_rng(25)
+        model = random_mixture(rng, k=2, d=2, m=2)
+        data, _ = expert_dataset(rng, n=20, d=2, m=2)
+        with pytest.raises(ArgumentError, match="not both"):
+            em_fit([e.structure for e in model.experts], data, TrainConfig(lam=0.5),
+                   init_model=model, init_responsibilities=np.full((20, 2), 0.5))
+
 
 class TestTrainConfig:
     @pytest.mark.parametrize("field, value", [
@@ -417,6 +434,25 @@ class TestTrainConfig:
         cfg = TrainConfig(max_experts=np.int64(2), em_max_iters=np.int32(3),
                           seed=np.uint8(4))
         assert (cfg.max_experts, cfg.em_max_iters, cfg.seed) == (2, 3, 4)
+
+    def test_numpy_scalars_become_python_scalars(self, tmp_path):
+        cfg = TrainConfig(max_experts=np.int64(1), em_max_iters=np.int32(3),
+                          lam=np.float32(0.5), seed=np.uint8(4),
+                          lambda_grid=(np.float64(0.1), np.int16(2)))
+        fields = (cfg.max_experts, cfg.em_max_iters, cfg.lam, cfg.seed,
+                  *cfg.lambda_grid)
+        assert [type(v) for v in fields] == [int, int, float, int, float, int]
+        assert fields == (1, 3, 0.5, 4, 0.1, 2)
+        # a Python int or float keeps its type
+        assert type(TrainConfig(lam=1).lam) is int
+        data = two_regime_dataset(np.random.default_rng(22), n=60)
+        path = tmp_path / "m.json"
+        save_model(grow_mixture(data, cfg), path)
+        loaded, _ = load_model(path)
+        assert loaded.meta["config"] == cfg.to_dict()
+        report = json.loads(cross_validate(data, cfg, k=np.int64(2)).to_json())
+        assert report["config"]["folds"] == 2
+        assert report["config"]["trainer"] == cfg.to_dict()
 
     def test_to_dict_names_and_values(self):
         cfg = TrainConfig(max_experts=3, lam=0.5, lambda_grid=(0.1, 2.0),
@@ -477,9 +513,9 @@ class TestGrowMixture:
         assert a.meta == b.meta
 
     def test_weight_mass_of_each_fit(self, monkeypatch):
-        # structure scoring gets omega (mass 1); the new-expert fit and EM
-        # get mass n; select_lambda fits on unit weights
-        masses = {"structure": [], "new_expert": [], "em": [], "lambda": []}
+        # structure scoring gets omega (mass 1); EM gets mass n;
+        # select_lambda fits on unit weights
+        masses = {"structure": [], "em": [], "lambda": []}
         in_select = []
 
         def wrap(name, fn, record):
@@ -491,9 +527,6 @@ class TestGrowMixture:
         wrap("learn_structure", mixture.learn_structure,
              lambda data, w, *a, **k: masses["structure"].append(
                  (np.sum(w), 1.0)))
-        wrap("train_parameters", mixture.train_parameters,
-             lambda s, data, w, *a, **k: masses["new_expert"].append(
-                 (np.sum(w), data.n)))
         wrap("m_step_experts", mixture.m_step_experts,
              lambda h, data, *a, **k: masses["em"].append((np.sum(h), data.n)))
         select_lambda, train_columns = mixture.select_lambda, logreg.train_columns
@@ -519,6 +552,52 @@ class TestGrowMixture:
             assert pairs, kind
             for got, want in pairs:
                 assert got == pytest.approx(want, rel=1e-12), kind
+
+    def test_every_solve_is_in_select_lambda_build_graph_or_em(self, monkeypatch):
+        # a growth round starts EM from responsibilities alone, so the new
+        # expert gets no fit of its own: every expert solve is an EM M-step
+        inside, callers, expert_fits = [], set(), []
+
+        def entering(module, name):
+            fn = getattr(module, name)
+
+            def wrapped(*args, **kwargs):
+                inside.append(name)
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    inside.pop()
+            monkeypatch.setattr(module, name, wrapped)
+
+        def solving(module, name, record=None):
+            fn = getattr(module, name)
+
+            def wrapped(*args, **kwargs):
+                assert inside, f"{module.__name__}.{name} outside the three"
+                callers.add(inside[0])
+                if record is not None:
+                    record.append(inside[0])
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapped)
+
+        entering(mixture, "select_lambda")
+        entering(structlearn, "build_graph")
+        entering(mixture, "em_fit")
+        for module in (logreg, ctbn, structlearn):
+            solving(module, "train_columns")
+        solving(mixture, "minimize")
+        solving(mixture, "train_experts", expert_fits)
+        data = two_regime_dataset(np.random.default_rng(23), n=200)
+        model = grow_mixture(data, TrainConfig(max_experts=3, lambda_grid=(0.1, 1.0),
+                                               em_max_iters=4, seed=5))
+        assert callers == {"select_lambda", "build_graph", "em_fit"}
+        # one expert solve per M-step: a round's fit starts with one, and
+        # the final refit starts from the accepted model
+        growth = model.meta["growth"]
+        rounds = [r for r in growth["rounds"] if "em_trace" in r]
+        assert len(rounds) >= 2
+        assert len(expert_fits) == (sum(len(r["em_trace"]) for r in rounds)
+                                    + len(growth["final_em_trace"]) - 1)
 
     def test_rejects_tiny_datasets(self):
         data = Dataset.from_raw(np.zeros((3, 1)), np.zeros((3, 1), dtype=int))
