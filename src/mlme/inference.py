@@ -7,12 +7,14 @@ expert's max-sum under a node's fixed labels gives a candidate, and since
 log sum_k g_k P_k(y) <= log sum_k g_k max_y P_k(y) their maxima bound the
 node.  A node is solved when the arg-maxes agree, pruned when its bound
 does not beat the row's best candidate, and else branches on the first
-labels where they disagree.  An exhaustive enumerator is the test oracle.
+labels where they disagree.  A small label space (K >= 2, d <= ENUMERATE_LABELS
+and 2^d within the node budget) skips the search: every label vector is
+scored in one gather, which costs less than a few search rounds there.
+enumerate_map, the same scoring one row at a time, is the test oracle.
 """
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -25,6 +27,7 @@ from .mixture import MixtureModel, _MixtureScorer, logsumexp
 ENUMERATION_GUARD = 20  # enumerate_map refuses label spaces beyond 2^20
 BRANCH_LABELS = 3       # labels fixed per branching: up to 8 children a node
 SEARCH_ROWS = 64        # rows searched together; bounds the frontier's memory
+ENUMERATE_LABELS = 7    # up to 2^7 label vectors are scored, not searched
 
 
 @dataclass(frozen=True)
@@ -35,7 +38,8 @@ class AnnealConfig:
     evaluate more nodes keeps its best candidate so far, which is never
     below heuristic_init's, and is uncertified: map_predict and
     predict_dataset raise one UncertifiedMapWarning per call that has such
-    rows.  A budget of 1 returns heuristic_init's answer.
+    rows.  A budget of 1 returns heuristic_init's answer.  A row whose
+    2^d label vectors are enumerated spends 2^d of the budget.
     ``seed`` changes no answer, since the search draws no random numbers;
     it is kept, and checked, for callers that set it.
     """
@@ -128,10 +132,45 @@ def _search(scorer: _MixtureScorer,
     return best, best_lp, dropped
 
 
-def _certified_search(scorer: _MixtureScorer,
-                      budget: int) -> tuple[np.ndarray, np.ndarray]:
-    """_search's labels and log-probs; warns once if the budget cut any row."""
-    best, best_lp, dropped = _search(scorer, budget)
+def _enumerate(scorer: _MixtureScorer) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact MAP of every row of the scorer's batch by scoring all 2^d vectors.
+
+    Returns _search's triple; no row is dropped.  Rows go SEARCH_ROWS at a
+    time, so a chunk holds at most SEARCH_ROWS * 2^ENUMERATE_LABELS vectors.
+    Each score is enumerate_map's, bit for bit, and the first arg-max is the
+    smallest label vector, enumerate_map's tie rule.
+    """
+    n, _, d = scorer.table.shape[:3]
+    Y = all_label_vectors(d)
+    best, best_lp = np.zeros((n, d), dtype=np.int8), np.zeros(n)
+    for start in range(0, n, SEARCH_ROWS):
+        rows = slice(start, start + SEARCH_ROWS)
+        S = ctbn.tree_log_prob(scorer.table, scorer.parent_index, Y[None],
+                               scorer.offsets[rows, None])
+        scores = logsumexp(scorer.log_gate[rows, None] + S, axis=-1)
+        top = np.argmax(scores, axis=1)
+        best[rows], best_lp[rows] = Y[top], scores.max(axis=1)
+    return best, best_lp, np.zeros(n, dtype=bool)
+
+
+def _solve(scorer: _MixtureScorer,
+           budget: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every row's MAP labels, log-prob and dropped flag under a node budget.
+
+    A mixture (K >= 2) with d <= ENUMERATE_LABELS labels, whose 2^d vectors
+    fit the budget, is enumerated; every other call, K = 1 (one max-sum at
+    the search's root) included, is branch and bound.
+    """
+    _, K, d = scorer.table.shape[:3]
+    if K >= 2 and d <= ENUMERATE_LABELS and 2 ** d <= budget:
+        return _enumerate(scorer)
+    return _search(scorer, budget)
+
+
+def _certified_solve(scorer: _MixtureScorer,
+                     budget: int) -> tuple[np.ndarray, np.ndarray]:
+    """_solve's labels and log-probs; warns once if the budget cut any row."""
+    best, best_lp, dropped = _solve(scorer, budget)
     if dropped.any():
         warnings.warn(f"{int(dropped.sum())} row(s) ran out of the node budget of "
                       f"{budget}; their labels may not be the exact MAP",
@@ -152,13 +191,14 @@ def map_predict(
     x: np.ndarray,
     cfg: AnnealConfig = AnnealConfig(),
 ) -> tuple[np.ndarray, float]:
-    """Exact MAP label vector of one row by branch and bound, with its log-prob.
+    """Exact MAP label vector of one row, with its log-prob.
 
-    Equal to enumerate_map's answer within the node budget cfg.iterations;
+    The row is enumerated or searched as _solve decides.  Equal to
+    enumerate_map's answer within the node budget cfg.iterations;
     never below heuristic_init's, and exact_map's for a single expert.  A
     row that runs out of the budget raises an UncertifiedMapWarning.
     """
-    best, best_lp = _certified_search(_MixtureScorer(model, x), cfg.iterations)
+    best, best_lp = _certified_solve(_MixtureScorer(model, x), cfg.iterations)
     return best[0], float(best_lp[0])
 
 
@@ -169,17 +209,17 @@ def predict_dataset(
 ) -> tuple[np.ndarray, np.ndarray]:
     """MAP-predict every row of an (N, m+1) feature matrix.
 
-    Rows are searched together; each row gets exactly map_predict's answer,
+    Rows are solved together; each row gets exactly map_predict's answer,
     so results do not depend on batch order.  One UncertifiedMapWarning
     counts the rows that ran out of the node budget, if any did.
     """
-    return _certified_search(_MixtureScorer(model, features, batch=True),
-                             cfg.iterations)
+    return _certified_solve(_MixtureScorer(model, features, batch=True),
+                            cfg.iterations)
 
 
 def all_label_vectors(d: int) -> np.ndarray:
     """(2^d, d) int8 matrix of label vectors in lexicographic order."""
-    return np.array(list(itertools.product((0, 1), repeat=d)), dtype=np.int8)
+    return (np.arange(2 ** d)[:, None] >> np.arange(d - 1, -1, -1) & 1).astype(np.int8)
 
 
 def enumerate_map(model: MixtureModel, x: np.ndarray) -> tuple[np.ndarray, float]:

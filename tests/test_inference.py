@@ -29,8 +29,8 @@ from mlme.mixture import (
 
 
 def uncertified(model, X, budget):
-    """How many rows of X the search leaves uncertified under ``budget``."""
-    return int(inference._search(_MixtureScorer(model, X, batch=True), budget)[2].sum())
+    """How many rows of X the MAP solver leaves uncertified under ``budget``."""
+    return int(inference._solve(_MixtureScorer(model, X, batch=True), budget)[2].sum())
 
 
 @contextlib.contextmanager
@@ -204,6 +204,13 @@ class TestEnumerateMap:
         as_tuples = [tuple(r) for r in Y]
         assert as_tuples == sorted(as_tuples)
 
+    @pytest.mark.parametrize("d", [0, 1, 2, 7, 12])
+    def test_label_vectors_are_the_product_of_d_bits(self, d):
+        Y = all_label_vectors(d)
+        want = np.array(list(itertools.product((0, 1), repeat=d)), dtype=np.int8)
+        assert Y.dtype == np.int8 and Y.shape == (2 ** d, d)
+        assert Y.tobytes() == want.tobytes()
+
 
 def scorer_logp(scorer, y):
     """Mixture log-probability of one label vector against a one-row scorer."""
@@ -319,11 +326,11 @@ MODEL_FAMILIES = {
 }
 
 
-def random_cases(family, seed, trials=30, rows=3):
-    """(model, X) pairs with K <= 4 experts and d <= 12 labels."""
+def random_cases(family, seed, trials=30, rows=3, ks=(1, 5), ds=(1, 13)):
+    """(model, X) pairs with K in range(*ks) experts and d in range(*ds) labels."""
     rng = np.random.default_rng(seed)
     for _ in range(trials):
-        k, d = int(rng.integers(1, 5)), int(rng.integers(1, 13))
+        k, d = int(rng.integers(*ks)), int(rng.integers(*ds))
         model = MODEL_FAMILIES[family](rng, k, d, 3)
         X = np.hstack([np.ones((rows, 1)), rng.normal(size=(rows, 3))])
         if rng.random() < 0.2:
@@ -341,12 +348,18 @@ def root_bound(model, x, fixed=None):
 @pytest.mark.parametrize("family", sorted(MODEL_FAMILIES))
 class TestBranchAndBound:
     def test_equals_enumerate_map_byte_for_byte(self, family):
+        # the search itself too: public calls enumerate the small label spaces
+        budget = AnnealConfig().iterations
         for model, X in random_cases(family, 200):
-            preds, logps = predict_dataset(model, X)
+            with budget_warning(uncertified(model, X, budget)):
+                preds, logps = predict_dataset(model, X)
+            searched, searched_lps, _ = inference._search(
+                _MixtureScorer(model, X, batch=True), budget)
             for r, x in enumerate(X):
                 y_ref, lp_ref = enumerate_map(model, x)
-                assert preds[r].tobytes() == y_ref.tobytes()
-                assert logps[r].tobytes() == np.float64(lp_ref).tobytes()
+                for y, lp in ((preds[r], logps[r]), (searched[r], searched_lps[r])):
+                    assert y.tobytes() == y_ref.tobytes()
+                    assert lp.tobytes() == np.float64(lp_ref).tobytes()
 
     def test_root_bound_not_below_true_maximum(self, family):
         for model, X in random_cases(family, 201):
@@ -406,19 +419,29 @@ class TestBranchAndBound:
 
     def test_seed_changes_no_answer(self, family):
         for model, X in random_cases(family, 208, trials=10):
-            runs = {predict_dataset(model, X, AnnealConfig(seed=s))[1].tobytes()
-                    for s in (0, 1, 99)}
+            rows = uncertified(model, X, AnnealConfig().iterations)
+            runs = set()
+            for s in (0, 1, 99):
+                with budget_warning(rows):
+                    runs.add(predict_dataset(model, X, AnnealConfig(seed=s))[1].tobytes())
             assert len(runs) == 1
 
     def test_node_budget_caps_evaluated_nodes(self, family, monkeypatch):
+        # an enumerated row counts its 2^d label vectors as 2^d nodes
         evaluated = []
 
         def counting(scorer, rows, fixed):
             evaluated.append(rows)
             return evaluate(scorer, rows, fixed)
 
-        evaluate = inference._evaluate
+        def counting_enumerate(scorer):
+            n, _, d = scorer.table.shape[:3]
+            evaluated.append(np.repeat(np.arange(n), 2 ** d))
+            return enumerate_(scorer)
+
+        evaluate, enumerate_ = inference._evaluate, inference._enumerate
         monkeypatch.setattr(inference, "_evaluate", counting)
+        monkeypatch.setattr(inference, "_enumerate", counting_enumerate)
         for model, X in random_cases(family, 209, trials=15):
             for budget in (1, 2, 5, 9):
                 rows = uncertified(model, X, budget)
@@ -427,6 +450,74 @@ class TestBranchAndBound:
                     predict_dataset(model, X, AnnealConfig(iterations=budget))
                 per_row = np.bincount(np.concatenate(evaluated), minlength=len(X))
                 assert per_row.max() <= budget and per_row.min() >= 1
+
+
+def forbid(monkeypatch, name):
+    """Fail the test if inference.<name> is called."""
+    def called(*args):
+        pytest.fail(f"inference.{name} was called")
+
+    monkeypatch.setattr(inference, name, called)
+
+
+@pytest.mark.parametrize("family", sorted(MODEL_FAMILIES))
+class TestEnumeration:
+    """K >= 2 mixtures with d <= ENUMERATE_LABELS labels score all 2^d vectors."""
+
+    SMALL = dict(ks=(2, 5), ds=(1, inference.ENUMERATE_LABELS + 1))
+
+    def test_equals_enumerate_map_without_search(self, family, monkeypatch):
+        forbid(monkeypatch, "_evaluate")
+        for model, X in random_cases(family, 210, **self.SMALL):
+            with budget_warning(0):
+                preds, logps = predict_dataset(model, X)
+            for r, x in enumerate(X):
+                y_ref, lp_ref = enumerate_map(model, x)
+                for y, lp in ((preds[r], logps[r]), map_predict(model, x)):
+                    assert y.tobytes() == y_ref.tobytes()
+                    assert np.float64(lp).tobytes() == np.float64(lp_ref).tobytes()
+
+    def test_batch_longer_than_search_rows_equals_single_row(self, family):
+        n = 2 * inference.SEARCH_ROWS + 5
+        for model, X in random_cases(family, 211, trials=4, rows=n, **self.SMALL):
+            preds, logps = predict_dataset(model, X)
+            for r, x in enumerate(X):
+                y, lp = map_predict(model, x)
+                assert y.tobytes() == preds[r].tobytes()
+                assert np.float64(lp).tobytes() == logps[r].tobytes()
+
+    def test_budget_of_two_to_the_d_enumerates(self, family, monkeypatch):
+        for model, X in random_cases(family, 212, **self.SMALL):
+            budget = 2 ** model.d
+            with monkeypatch.context() as patch:
+                forbid(patch, "_evaluate")
+                preds, _ = predict_dataset(model, X, AnnealConfig(iterations=budget))
+            with monkeypatch.context() as patch:
+                forbid(patch, "_enumerate")
+                with budget_warning(uncertified(model, X, budget - 1)):
+                    _, logps = predict_dataset(model, X, AnnealConfig(iterations=budget - 1))
+            for r, x in enumerate(X):
+                y_ref, lp_ref = enumerate_map(model, x)
+                assert preds[r].tobytes() == y_ref.tobytes()
+                init = mixture_log_prob(model, x, heuristic_init(model, x))
+                assert init <= logps[r] <= lp_ref
+
+    def test_eight_labels_search(self, family, monkeypatch):
+        forbid(monkeypatch, "_enumerate")
+        # a budget far above 2^8 still searches: d alone rules enumeration out
+        for model, X in random_cases(family, 213, trials=10, ks=(2, 5), ds=(8, 9)):
+            preds, _ = predict_dataset(model, X, AnnealConfig(iterations=10 ** 6))
+            for r, x in enumerate(X):
+                assert preds[r].tobytes() == enumerate_map(model, x)[0].tobytes()
+
+    def test_k1_never_enumerates(self, family, monkeypatch):
+        forbid(monkeypatch, "_enumerate")
+        for model, X in random_cases(family, 214, ks=(1, 2), ds=self.SMALL["ds"]):
+            preds, logps = predict_dataset(model, X, AnnealConfig(iterations=10 ** 6))
+            for r, x in enumerate(X):
+                y_ref, lp_ref = exact_map(model.experts[0], x)
+                assert preds[r].tobytes() == y_ref.tobytes()
+                assert logps[r] == lp_ref
 
 
 def test_two_label_tie_goes_to_the_smaller_vector():
