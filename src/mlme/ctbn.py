@@ -170,6 +170,11 @@ def check_label_vector(y, d: int) -> np.ndarray:
     return y
 
 
+def all_label_vectors(d: int) -> np.ndarray:
+    """(2^d, d) int8 matrix of label vectors in lexicographic order."""
+    return (np.arange(2 ** d)[:, None] >> np.arange(d - 1, -1, -1) & 1).astype(np.int8)
+
+
 def node_term_table(logits: np.ndarray) -> np.ndarray:
     """(..., d, 2, 2) t[..., i, v, u] = log P(y_i = u | x, parent = v)."""
     return logistic_log_prob(logits[..., None], np.array([0, 1]))

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ctbn
+from .ctbn import all_label_vectors
 from .errors import GuardError, UncertifiedMapWarning, check_count
 from .mixture import MixtureModel, _MixtureScorer, logsumexp
 
@@ -64,9 +65,9 @@ def _evaluate(scorer: _MixtureScorer, rows: np.ndarray, fixed: np.ndarray):
     excluded = (fixed[..., None] >= 0) & (fixed[..., None] != np.arange(2))
     table = np.where(excluded[:, None, :, None, :], -np.inf, scorer.table[rows])
     F, K, d = table.shape[:3]
-    Y = ctbn.max_sum(table.reshape(F, K * d, 2, 2), scorer.forest).reshape(F, K, d)
-    S = ctbn.tree_log_prob(scorer.table, scorer.parent_index, Y,
-                           scorer.offsets[rows, None])
+    model = scorer.model
+    Y = ctbn.max_sum(table.reshape(F, K * d, 2, 2), model.forest).reshape(F, K, d)
+    S = ctbn.tree_log_prob(scorer.table, model.parent_stack, Y, scorer.offsets[rows, None])
     log_gate = scorer.log_gate[rows]
     return (Y, logsumexp(log_gate[:, None] + S, axis=-1),
             logsumexp(log_gate + np.diagonal(S, axis1=1, axis2=2), axis=-1))
@@ -137,19 +138,21 @@ def _enumerate(scorer: _MixtureScorer) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
     Returns _search's triple; no row is dropped.  Rows go SEARCH_ROWS at a
     time, so a chunk holds at most SEARCH_ROWS * 2^ENUMERATE_LABELS vectors.
-    Each score is enumerate_map's, bit for bit, and the first arg-max is the
-    smallest label vector, enumerate_map's tie rule.
+    A chunk's terms are one take of the model's cached gather index
+    (MixtureModel.label_space) on each row's flat table, summed in node
+    order.  Each score is enumerate_map's, bit for bit, and the first
+    arg-max is the smallest label vector, enumerate_map's tie rule.
     """
-    n, _, d = scorer.table.shape[:3]
-    Y = all_label_vectors(d)
+    n, K, d = scorer.table.shape[:3]
+    Y, index = scorer.model.label_space
+    flat = scorer.table.reshape(n, K * d * 4)
     best, best_lp = np.zeros((n, d), dtype=np.int8), np.zeros(n)
     for start in range(0, n, SEARCH_ROWS):
         rows = slice(start, start + SEARCH_ROWS)
-        S = ctbn.tree_log_prob(scorer.table, scorer.parent_index, Y[None],
-                               scorer.offsets[rows, None])
+        S = ctbn.node_order_sum(flat[rows].take(index, axis=1))  # (r, 2^d, K)
         scores = logsumexp(scorer.log_gate[rows, None] + S, axis=-1)
         top = np.argmax(scores, axis=1)
-        best[rows], best_lp[rows] = Y[top], scores.max(axis=1)
+        best[rows], best_lp[rows] = Y[top], scores[np.arange(len(top)), top]
     return best, best_lp, np.zeros(n, dtype=bool)
 
 
@@ -215,11 +218,6 @@ def predict_dataset(
     """
     return _certified_solve(_MixtureScorer(model, features, batch=True),
                             cfg.iterations)
-
-
-def all_label_vectors(d: int) -> np.ndarray:
-    """(2^d, d) int8 matrix of label vectors in lexicographic order."""
-    return (np.arange(2 ** d)[:, None] >> np.arange(d - 1, -1, -1) & 1).astype(np.int8)
 
 
 def enumerate_map(model: MixtureModel, x: np.ndarray) -> tuple[np.ndarray, float]:

@@ -117,6 +117,36 @@ class MixtureModel:
                                    for k, e in enumerate(self.experts)
                                    for p in e.structure.parent))
 
+    @cached_property
+    def param_stack(self) -> np.ndarray:
+        """(K, d, 2, m+1) read-only stack of the experts' param_tables."""
+        return _read_only(np.stack([e.param_table() for e in self.experts]))
+
+    @cached_property
+    def parent_stack(self) -> np.ndarray:
+        """(K, d) read-only stack of the experts' TreeStructure.parent_index."""
+        return _read_only(np.stack([e.structure.parent_index for e in self.experts]))
+
+    @cached_property
+    def label_space(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only 2^d label vectors Y and their (2^d, K, d) gather index.
+
+        index[j, k, i] = 4(k d + i) + 2 y_parent(i) + y_i for y = Y[j], roots
+        at branch 0: the flat position of node i of expert k's term in a
+        row's (K, d, 2, 2) node-term table.  Only enumerated mixtures use it.
+        """
+        Y = ctbn.all_label_vectors(self.d)
+        padded = np.zeros((len(Y), self.d + 1), dtype=np.intp)
+        padded[:, :-1] = Y
+        nodes = 4 * np.arange(self.k * self.d).reshape(self.k, self.d)
+        index = nodes + 2 * padded[:, self.parent_stack] + padded[:, None, :-1]
+        return _read_only(Y), _read_only(index)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
 
 def component_log_prob_matrix(model: MixtureModel, data: Dataset) -> np.ndarray:
     """(N, K) of log g_k(x_n) + log P(y_n | x_n, expert_k)."""
@@ -130,20 +160,25 @@ def component_log_prob_matrix(model: MixtureModel, data: Dataset) -> np.ndarray:
 class _MixtureScorer:
     """Node-term tables and log-gates of one checked feature row or a batch.
 
-    Built once per call; then a row's mixture log-probability is one
-    ctbn.tree_log_prob gather and a log-sum-exp.
+    Built once per call from the model's cached MixtureModel.param_stack:
+    one stacked product gives every expert's node logits.  Then a row's
+    mixture log-probability is one ctbn.tree_log_prob gather and a
+    log-sum-exp.
     """
 
     def __init__(self, model: MixtureModel, x: np.ndarray, batch: bool = False):
         X = ctbn.check_feature_rows(x, model.n_features, batch).reshape(
             -1, model.n_features)
-        self.forest = model.forest
-        self.parent_index = np.stack([e.structure.parent_index for e in model.experts])
+        self.model = model
         # stacked products keep each row's bits; a plain X @ theta.T does not
         self.log_gate = gating_log_probs(model.gating, X)   # (n, k)
-        self.table = ctbn.node_term_table(np.stack(
-            [e.logit_table(X) for e in model.experts], axis=1))  # (n, k, d, 2, 2)
-        self.offsets = ctbn.term_offsets(self.table)
+        self.table = ctbn.node_term_table((
+            model.param_stack @ X[:, None, None, :, None])[..., 0])  # (n, k, d, 2, 2)
+
+    @cached_property
+    def offsets(self) -> np.ndarray:
+        """ctbn.term_offsets of the table; enumeration does not build them."""
+        return ctbn.term_offsets(self.table)
 
     def logp_batch(self, Y: np.ndarray) -> np.ndarray:
         """Mixture log-probability of the label rows of an (M, d) matrix.
@@ -152,7 +187,7 @@ class _MixtureScorer:
         scores every row against its one feature vector.  ``Y`` is unchecked.
         """
         return logsumexp(self.log_gate + ctbn.tree_log_prob(
-            self.table, self.parent_index, Y, self.offsets), axis=-1)
+            self.table, self.model.parent_stack, Y, self.offsets), axis=-1)
 
 
 def mixture_log_prob(model: MixtureModel, x: np.ndarray, y) -> float:

@@ -7,7 +7,8 @@ import pytest
 
 from conftest import random_expert, random_mixture, random_x
 from mlme import inference
-from mlme.ctbn import CtbnExpert, TreeStructure, exact_map, joint_log_prob
+from mlme.ctbn import (CtbnExpert, TreeStructure, exact_map, joint_log_prob,
+                       node_term_table)
 from mlme.errors import ArgumentError, GuardError, UncertifiedMapWarning
 from mlme.inference import (
     AnnealConfig,
@@ -26,6 +27,7 @@ from mlme.mixture import (
     logsumexp,
     mixture_log_prob,
 )
+from mlme.model_io import load_model, save_model
 
 
 def uncertified(model, X, budget):
@@ -303,6 +305,19 @@ class TestStackedProducts:
                     want = expert.param_table() @ x
                     assert expert.logit_table(x).tobytes() == want.tobytes()
                     assert got[r].tobytes() == want.tobytes()
+            # the scorer's one product over the model's param_stack gives
+            # every expert's node terms, for any memory layout of the batch
+            table = _MixtureScorer(model, X, batch=True).table
+            assert table.shape == (n, k, d, 2, 2)
+            for j, expert in enumerate(model.experts):
+                for r, x in enumerate(X):
+                    want = node_term_table(expert.logit_table(x))
+                    assert table[r, j].tobytes() == want.tobytes()
+            wide = np.zeros((2 * n, m + 1))
+            wide[::2] = X
+            for layout in (np.asfortranarray(X), wide[::2]):
+                assert _MixtureScorer(model, layout, batch=True).table.tobytes() \
+                    == table.tobytes()
 
 
 def tie_prone_mixture(rng, k, d, m):
@@ -471,6 +486,9 @@ class TestEnumeration:
         for model, X in random_cases(family, 210, **self.SMALL):
             with budget_warning(0):
                 preds, logps = predict_dataset(model, X)
+            # the answers came from the cached gather; the oracle reads none
+            # of it (TestCachedPredictionState)
+            assert "label_space" in model.__dict__
             for r, x in enumerate(X):
                 y_ref, lp_ref = enumerate_map(model, x)
                 for y, lp in ((preds[r], logps[r]), map_predict(model, x)):
@@ -518,6 +536,67 @@ class TestEnumeration:
                 y_ref, lp_ref = exact_map(model.experts[0], x)
                 assert preds[r].tobytes() == y_ref.tobytes()
                 assert logps[r] == lp_ref
+
+
+class TestCachedPredictionState:
+    """The model-only operands of prediction, built once per MixtureModel."""
+
+    def test_contents_and_read_only(self):
+        model = random_mixture(np.random.default_rng(15), k=3, d=4, m=2)
+        Y, index = model.label_space
+        assert Y.tobytes() == all_label_vectors(4).tobytes()
+        assert index.shape == (16, 3, 4)
+        for k, e in enumerate(model.experts):
+            assert model.param_stack[k].tobytes() == e.param_table().tobytes()
+            assert model.parent_stack[k].tobytes() == e.structure.parent_index.tobytes()
+            for j, y in enumerate(Y):
+                for i, p in enumerate(e.structure.parent):
+                    branch = 0 if p is None else y[p]
+                    assert index[j, k, i] == 4 * (4 * k + i) + 2 * branch + y[i]
+        for a in (model.param_stack, model.parent_stack, Y, index):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
+
+    @pytest.mark.parametrize("k,d,budget", [(1, 8, 150), (1, 20, 150),
+                                            (2, 8, 150), (2, 6, 63)])
+    def test_only_enumeration_builds_the_label_space(self, k, d, budget):
+        rng = np.random.default_rng(16)
+        model = random_mixture(rng, k=k, d=d, m=3)
+        X = np.hstack([np.ones((4, 1)), rng.normal(size=(4, 3))])
+        cfg = AnnealConfig(iterations=budget)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UncertifiedMapWarning)
+            predict_dataset(model, X, cfg)
+            map_predict(model, X[0], cfg)
+        assert "label_space" not in model.__dict__
+        assert {"param_stack", "parent_stack"} <= set(model.__dict__)
+        enumerated = random_mixture(rng, k=2, d=6, m=3)
+        map_predict(enumerated, X[0])
+        assert "label_space" in enumerated.__dict__
+
+    def test_load_model_builds_none(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(random_mixture(np.random.default_rng(17), k=3, d=6, m=3), path)
+        loaded, _ = load_model(path)
+        assert not {"param_stack", "parent_stack", "label_space"} & set(loaded.__dict__)
+
+    def test_enumerate_map_reads_no_label_space(self, monkeypatch):
+        rng = np.random.default_rng(18)
+        model = random_mixture(rng, k=3, d=5, m=3)
+        X = np.hstack([np.ones((6, 1)), rng.normal(size=(6, 3))])
+        preds, logps = predict_dataset(model, X)  # enumerated
+
+        def refuse(self):
+            raise AssertionError("MixtureModel.label_space was read")
+
+        monkeypatch.setattr(MixtureModel, "label_space", property(refuse))
+        with pytest.raises(AssertionError, match="label_space"):
+            predict_dataset(model, X)
+        for r, x in enumerate(X):
+            y, lp = enumerate_map(model, x)
+            assert y.tobytes() == preds[r].tobytes()
+            assert np.float64(lp).tobytes() == logps[r].tobytes()
 
 
 def test_two_label_tie_goes_to_the_smaller_vector():
