@@ -185,6 +185,21 @@ def term_offsets(table: np.ndarray) -> np.ndarray:
     return 4 * np.arange(table.size // 4).reshape(table.shape[:-2])
 
 
+def term_index(parent_index: np.ndarray, Y: np.ndarray,
+               offsets: np.ndarray) -> np.ndarray:
+    """Flat index of t[i, y_parent(i), y_i] in a node-term table for label rows Y.
+
+    ``offsets`` holds each node's t[i, 0, 0] (term_offsets); ``Y`` and
+    ``parent_index`` are as in tree_log_prob.
+    """
+    Y = np.asarray(Y)
+    padded = np.zeros(Y.shape[:-1] + (Y.shape[-1] + 1,), dtype=np.intp)
+    padded[..., :-1] = Y
+    branch = padded[..., parent_index]
+    own = padded[..., :-1] if parent_index.ndim == 1 else padded[..., None, :-1]
+    return offsets + 2 * branch + own
+
+
 def tree_log_prob(table: np.ndarray, parent_index: np.ndarray, Y: np.ndarray,
                   offsets: np.ndarray | None = None) -> np.ndarray:
     """log P(y | x) = sum_i t[i, y_parent(i), y_i] for every (y, expert).
@@ -199,12 +214,7 @@ def tree_log_prob(table: np.ndarray, parent_index: np.ndarray, Y: np.ndarray,
     """
     if offsets is None:
         offsets = term_offsets(table)
-    Y = np.asarray(Y)
-    padded = np.zeros(Y.shape[:-1] + (Y.shape[-1] + 1,), dtype=np.intp)
-    padded[..., :-1] = Y
-    branch = padded[..., parent_index]
-    own = padded[..., :-1] if parent_index.ndim == 1 else padded[..., None, :-1]
-    return node_order_sum(table.take(offsets + 2 * branch + own))
+    return node_order_sum(table.take(term_index(parent_index, Y, offsets)))
 
 
 def node_order_sum(terms: np.ndarray) -> np.ndarray:
@@ -226,20 +236,23 @@ def joint_log_prob(expert: CtbnExpert, x: np.ndarray, y: Sequence[int]) -> float
 
 def node_log_probs(params: np.ndarray, parent_index: np.ndarray,
                    data: Dataset) -> np.ndarray:
-    """(N, d) per-node terms log P(y_i | x, y_parent(i)) of every instance.
+    """(N, ..., d) per-node terms log P(y_i | x, y_parent(i)) of every instance.
 
-    ``params`` is (d, 2, m+1) as from CtbnExpert.param_table and
-    ``parent_index`` (d,).  The dataset kernel: each row is scored once, so
-    it selects each node's logit by its parent's label before one
+    ``params`` is (d, 2, m+1) as from CtbnExpert.param_table with
+    ``parent_index`` (d,), or a (K, d, 2, m+1) stack of such tables
+    (MixtureModel.param_stack) with (K, d) parent indices, giving (N, K, d)
+    terms with each expert's bits.  The dataset kernel: each row is scored
+    once, so it selects each node's logit by its parent's label before one
     log-sigmoid (a table takes four), and gives tree_log_prob's terms.
     """
-    if params.shape[0] != data.d:
+    if params.shape[-3] != data.d:
         raise ArgumentError("expert and dataset label counts differ")
-    Z = np.einsum("ivp,np->niv", params, data.features)
+    Z = np.einsum("...ivp,np->n...iv", params, data.features)
     padded = np.zeros((data.n, data.d + 1), dtype=np.int8)
     padded[:, :-1] = data.labels
     z = np.where(padded[:, parent_index] == 1, Z[..., 1], Z[..., 0])
-    return logistic_log_prob(z, data.labels)
+    labels = data.labels.reshape(data.n, *(1,) * (parent_index.ndim - 1), data.d)
+    return logistic_log_prob(z, labels)
 
 
 def max_sum(table: np.ndarray, structure: TreeStructure) -> np.ndarray:

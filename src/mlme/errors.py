@@ -45,8 +45,8 @@ class ArgumentError(MlmeError):
 
 
 def check_finite_nonnegative(value, name: str) -> None:
-    """Raise ArgumentError naming ``name`` unless ``value`` is finite and >= 0."""
-    if not (math.isfinite(value) and value >= 0):
+    """Raise ArgumentError naming ``name`` unless ``value`` is a finite real >= 0."""
+    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value >= 0):
         raise ArgumentError(f"{name} must be finite and >= 0, got {value}")
 
 

@@ -8,7 +8,7 @@ data, with an internal validation split deciding when to stop.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -131,16 +131,13 @@ class MixtureModel:
     def label_space(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only 2^d label vectors Y and their (2^d, K, d) gather index.
 
-        index[j, k, i] = 4(k d + i) + 2 y_parent(i) + y_i for y = Y[j], roots
-        at branch 0: the flat position of node i of expert k's term in a
-        row's (K, d, 2, 2) node-term table.  Only enumerated mixtures use it.
+        index[j, k, i] is the flat position of node i of expert k's term for
+        y = Y[j] in a row's (K, d, 2, 2) node-term table (ctbn.term_index).
+        Only enumerated mixtures use it.
         """
         Y = ctbn.all_label_vectors(self.d)
-        padded = np.zeros((len(Y), self.d + 1), dtype=np.intp)
-        padded[:, :-1] = Y
-        nodes = 4 * np.arange(self.k * self.d).reshape(self.k, self.d)
-        index = nodes + 2 * padded[:, self.parent_stack] + padded[:, None, :-1]
-        return _read_only(Y), _read_only(index)
+        offsets = 4 * np.arange(self.k * self.d).reshape(self.k, self.d)
+        return _read_only(Y), _read_only(ctbn.term_index(self.parent_stack, Y, offsets))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -149,12 +146,13 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 def component_log_prob_matrix(model: MixtureModel, data: Dataset) -> np.ndarray:
-    """(N, K) of log g_k(x_n) + log P(y_n | x_n, expert_k)."""
+    """(N, K) of log g_k(x_n) + log P(y_n | x_n, expert_k); one kernel call
+    (ctbn.node_log_probs) scores every expert over the model's param_stack."""
     check_width("model", model.n_features, data.features.shape[1])
     Z = data.features @ model.gating.theta.T
     log_g = Z - logsumexp(Z, axis=1, keepdims=True)
-    return log_g + np.column_stack([ctbn.node_order_sum(ctbn.node_log_probs(
-        e.param_table(), e.structure.parent_index, data)) for e in model.experts])
+    return log_g + ctbn.node_order_sum(ctbn.node_log_probs(
+        model.param_stack, model.parent_stack, data))
 
 
 class _MixtureScorer:
@@ -205,24 +203,24 @@ def observed_log_likelihood(model: MixtureModel, data: Dataset) -> float:
     return float(instance_log_probs(model, data).sum())
 
 
-def model_penalty(model: MixtureModel, lam_gate: float) -> float:
-    """L2 penalties of all CPDs (bias-free) plus the gate."""
-    pen = 0.5 * lam_gate * float((model.gating.theta ** 2).sum())
+def model_penalty(model: MixtureModel, lam: float) -> float:
+    """L2 penalty at EM's one ``lam`` of the gate and every CPD (bias-free)."""
+    pen = 0.5 * lam * float((model.gating.theta ** 2).sum())
     for expert in model.experts:
         for models in expert.cpds:
             for m in models:
-                pen += 0.5 * m.lam * float(m.params[1:] @ m.params[1:])
+                pen += 0.5 * lam * float(m.params[1:] @ m.params[1:])
     return pen
 
 
-def penalized_objective(model: MixtureModel, data: Dataset, lam_gate: float) -> float:
-    """Observed log-likelihood minus all regularization penalties."""
-    return _objective(component_log_prob_matrix(model, data), model, lam_gate)
+def penalized_objective(model: MixtureModel, data: Dataset, lam: float) -> float:
+    """Observed log-likelihood minus the L2 penalty at ``lam``."""
+    return _objective(component_log_prob_matrix(model, data), model, lam)
 
 
-def _objective(L: np.ndarray, model: MixtureModel, lam_gate: float) -> float:
+def _objective(L: np.ndarray, model: MixtureModel, lam: float) -> float:
     """penalized_objective from the model's component_log_prob_matrix L."""
-    return float(logsumexp(L, axis=1).sum()) - model_penalty(model, lam_gate)
+    return float(logsumexp(L, axis=1).sum()) - model_penalty(model, lam)
 
 
 def e_step(model: MixtureModel, data: Dataset) -> np.ndarray:
@@ -313,7 +311,7 @@ def m_step_experts(
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Knobs for EM fitting and mixture growth."""
+    """Knobs for mixture growth; em_fit gets its λ and iteration cap."""
 
     max_experts: int = 5
     lam: Optional[float] = None              # CPD, edge and gate L2; None -> grid
@@ -355,24 +353,17 @@ def _tagged_seed(base: int, *tags: int) -> int:
     return int(np.random.SeedSequence(base, spawn_key=tags).generate_state(1)[0])
 
 
-def em_fit(
-    structures: Sequence[TreeStructure],
-    data: Dataset,
-    config: TrainConfig,
-    init_model: Optional[MixtureModel] = None,
-    init_responsibilities: Optional[np.ndarray] = None,
-) -> EmResult:
-    """Generalised EM on fixed structures: alternate E- and M-steps.
+def em_fit(structures: Sequence[TreeStructure], data: Dataset, lam: float,
+           max_iters: int, start: MixtureModel | np.ndarray) -> EmResult:
+    """Generalised EM on fixed structures at one L2 strength ``lam``.
 
-    ``config.lam``, which must be set, is the one L2 strength of every CPD
-    and the gate.  The trace records the regularized observed
-    log-likelihood after the initialization and after every EM iteration;
-    it must never decrease by more than 1e-6 (anything larger is an
-    internal-consistency failure).  Initialization: ``init_model`` as-is,
-    else a cold first M-step from ``init_responsibilities`` (give at most
-    one of the two), else from seeded, slightly perturbed uniform ones.
-    That M-step solves to gtol per unit of weight mass (logreg.minimize):
-    the gate to gtol * n, each CPD to gtol times its weight sum.
+    ``lam`` serves every CPD and the gate.  ``start`` is the first iterate,
+    a MixtureModel over ``structures``, or an (N, K) responsibility matrix
+    (entries >= 0, rows summing to 1 within 1e-9) from which a cold M-step
+    gives it; that M-step solves to gtol per unit of weight mass
+    (logreg.minimize).  The trace records the regularized observed
+    log-likelihood of the first iterate and after every EM iteration; a
+    fall of more than 1e-6 is an internal-consistency failure.
 
     Each later M-step is a generalised one (Neal & Hinton, 1998): it
     warm-starts the gate and every CPD from the previous iterate and stops
@@ -380,24 +371,18 @@ def em_fit(
     raise the expected complete-data objective, and since no column of a
     solve ends above its start (logreg.minimize), the trace cannot fall.
     The loop stops when an iteration improves the objective by less than
-    EM_TOL relative, or after ``config.em_max_iters`` iterations.
+    EM_TOL relative, or after ``max_iters`` iterations.
 
-    With K=1 every responsibility is 1 (any ``init_responsibilities`` are
-    replaced by ones), so one converged M-step is the whole fit: from
-    responsibilities the trace holds the initialization alone, and from an
-    ``init_model`` one uncapped M-step follows it.
+    With K=1 every responsibility is 1, so one converged M-step is the
+    whole fit: from responsibilities the trace holds the first iterate
+    alone, and from a model one uncapped M-step follows it.
     """
     structures = list(structures)
     if not structures:
         raise ArgumentError("need at least one structure")
-    if config.lam is None:
-        raise ArgumentError("em_fit needs a fixed lambda, got config.lam=None")
-    if init_model is not None and init_responsibilities is not None:
-        raise ArgumentError("give init_model or init_responsibilities, not both")
+    check_finite_nonnegative(lam, "lam")
+    check_count(max_iters, "max_iters", 1)
     K = len(structures)
-    lam = float(config.lam)
-    if init_model is not None and init_model.k != K:
-        raise ArgumentError("init_model expert count must match structures")
 
     def m_step(h, warm=None, maxiter=None):
         gate = m_step_gate(h, data, lam,
@@ -406,27 +391,23 @@ def em_fit(
                                  None if warm is None else warm.experts, maxiter)
         return MixtureModel(experts, gate)
 
-    if init_model is not None:
-        model = init_model
+    if isinstance(start, MixtureModel):
+        if start.k != K:
+            raise ArgumentError("start model expert count must match structures")
+        model = start
     else:
-        if init_responsibilities is not None:
-            h0 = np.asarray(init_responsibilities, dtype=np.float64)
-            if h0.shape != (data.n, K):
-                raise ArgumentError("init responsibilities must be (N, K)")
-        else:
-            rng = np.random.default_rng(_tagged_seed(config.seed, 1))
-            h0 = 1.0 + 0.01 * rng.random((data.n, K))
-            h0 /= h0.sum(axis=1, keepdims=True)
-        if K == 1:
-            h0 = np.ones((data.n, 1))
+        h0 = np.asarray(start, dtype=np.float64)
+        if h0.shape != (data.n, K):
+            raise ArgumentError("start responsibilities must be (N, K)")
+        if not (np.all(h0 >= 0) and np.all(np.abs(h0.sum(axis=1) - 1) <= 1e-9)):
+            raise ArgumentError("start responsibilities must be >= 0, each row "
+                                "summing to 1 within 1e-9")
         model = m_step(h0)
 
     if K == 1:
-        # the lone expert's responsibilities are all 1, so one converged
-        # M-step is the whole fit: the initial one, else one uncapped step
-        n_iters, cap = (0 if init_model is None else 1), None
+        n_iters, cap = (1 if model is start else 0), None
     else:
-        n_iters, cap = config.em_max_iters, EM_MSTEP_MAXITER
+        n_iters, cap = max_iters, EM_MSTEP_MAXITER
     # each iterate is scored once: L gives its objective and the next E-step
     L = component_log_prob_matrix(model, data)
     obj = _objective(L, model, lam)
@@ -463,12 +444,11 @@ def grow_mixture(data: Dataset, config: TrainConfig = TrainConfig()) -> MixtureM
         raise ArgumentError("mixture growth needs at least 5 instances")
     lam = float(config.lam if config.lam is not None else select_lambda(
         data, config.lambda_grid, seed=_tagged_seed(config.seed, 0)))
-    em_config = replace(config, lam=lam)
     (itr, _), (ite, _) = holdout_split(
         data, np.ones(data.n), INTERNAL_TEST_RATIO, _tagged_seed(config.seed, 2))
 
     omega = np.full(itr.n, 1.0 / itr.n)
-    init_h: Optional[np.ndarray] = None  # round 1: seeded responsibilities
+    start = np.ones((itr.n, 1))
     accepted: list[TreeStructure] = []
     current: Optional[MixtureModel] = None
     current_test_ll = -np.inf
@@ -477,8 +457,7 @@ def grow_mixture(data: Dataset, config: TrainConfig = TrainConfig()) -> MixtureM
     for k in range(1, config.max_experts + 1):
         structure = learn_structure(itr, omega, lam,
                                     seed=_tagged_seed(config.seed, 3, k))
-        fit = em_fit(accepted + [structure], itr, em_config,
-                     init_responsibilities=init_h)
+        fit = em_fit(accepted + [structure], itr, lam, config.em_max_iters, start)
         test_ll = observed_log_likelihood(fit.model, ite)
         entry = {
             "k": k,
@@ -506,10 +485,10 @@ def grow_mixture(data: Dataset, config: TrainConfig = TrainConfig()) -> MixtureM
         omega = margins / total
         # the new expert starts out owning the margins; the accepted experts
         # share the rest in their posterior ratios
-        init_h = np.hstack([(1.0 - margins)[:, None] * _posteriors(L),
-                            margins[:, None]])
+        start = np.hstack([(1.0 - margins)[:, None] * _posteriors(L),
+                           margins[:, None]])
 
-    final = em_fit(accepted, data, em_config, init_model=current)
+    final = em_fit(accepted, data, lam, config.em_max_iters, current)
     meta = {
         "m": data.m,
         "d": data.d,

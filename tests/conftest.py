@@ -55,6 +55,12 @@ def sample_labels(rng, expert, X):
     return Y
 
 
+def near_uniform_responsibilities(rng, n, k):
+    """(n, k) EM start: uniform rows, slightly perturbed, each summing to 1."""
+    h = 1.0 + 0.01 * rng.random((n, k))
+    return h / h.sum(axis=1, keepdims=True)
+
+
 def expert_dataset(rng, n, d, m, scale=1.5):
     """Features ~ N(0,1) with labels sampled from one random expert."""
     expert = random_expert(rng, d, m, scale)

@@ -13,7 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_mixture, random_x, two_regime_dataset
+from conftest import (near_uniform_responsibilities, random_mixture, random_x,
+                      two_regime_dataset)
 from mlme.cli import main as cli_main
 from mlme.ctbn import TreeStructure, exact_map
 from mlme.dataset import load_arff, load_csv
@@ -124,8 +125,8 @@ def test_criterion_3_em_monotone_objective():
             TreeStructure((None,) * d),
         ]
         k = 1 + run % 2
-        result = em_fit(structures[:k], data,
-                        TrainConfig(seed=run, em_max_iters=20, lam=0.2))
+        start = near_uniform_responsibilities(np.random.default_rng(run), n, k)
+        result = em_fit(structures[:k], data, 0.2, 20, start)
         trace = np.asarray(result.objective_trace)
         assert np.all(np.diff(trace) >= -1e-6), f"run {run}: {trace}"
         checked += len(trace) - 1

@@ -164,6 +164,22 @@ class TestJointLogProb:
         for i in range(20):
             assert abs(vec[i] - joint_log_prob(expert, X[i], Y[i])) < 1e-12
 
+    @pytest.mark.parametrize("K, d", [(1, 1), (3, 6), (2, 20)])
+    def test_stack_gives_each_experts_bits(self, K, d):
+        # one call over stacked tables is the E-step's kernel; one call per
+        # expert is the reference
+        rng = np.random.default_rng(K * d)
+        experts = [random_expert(rng, d=d, m=5) for _ in range(K)]
+        X = np.hstack([np.ones((50, 1)), rng.normal(size=(50, 5))])
+        data = Dataset(X, rng.integers(0, 2, size=(50, d)))
+        got = node_log_probs(np.stack([e.param_table() for e in experts]),
+                             np.stack([e.structure.parent_index for e in experts]),
+                             data)
+        assert got.shape == (50, K, d)
+        for k, e in enumerate(experts):
+            assert_same_bits(got[:, k], node_log_probs(
+                e.param_table(), e.structure.parent_index, data))
+
 
 class TestExactMap:
     def test_single_node_argmax(self):

@@ -3,10 +3,10 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.special
 
 from conftest import (
     expert_dataset,
+    near_uniform_responsibilities,
     random_expert,
     random_mixture,
     random_structure,
@@ -202,8 +202,7 @@ class TestFeatureWidth:
         calls = {
             "instance_log_probs": lambda: instance_log_probs(model, data),
             "cll_loss": lambda: cll_loss(model, data),
-            "em_fit": lambda: em_fit(structures, data, TrainConfig(lam=0.5),
-                                     init_model=model),
+            "em_fit": lambda: em_fit(structures, data, 0.5, 100, model),
             "train_experts": lambda: train_experts(structures, data, h, 0.5,
                                                    init=model.experts),
             "m_step_gate": lambda: m_step_gate(h, data, 0.5, x0=model.gating),
@@ -362,7 +361,7 @@ class TestEmFit:
         rng = np.random.default_rng(14)
         data, _ = expert_dataset(rng, n=40, d=3, m=2)
         structure = TreeStructure((None, 0, 1))
-        result = em_fit([structure], data, TrainConfig(seed=1, lam=0.5))
+        result = em_fit([structure], data, 0.5, 100, np.ones((40, 1)))
         direct = train_parameters(structure, data, np.ones(40), lam=0.5)
         for a, b in zip(result.model.experts[0].cpds, direct.cpds):
             for ma, mb in zip(a, b):
@@ -379,8 +378,9 @@ class TestEmFit:
                 structures = [TreeStructure(tuple([None] + [0] * (d - 1))),
                               TreeStructure((None,) * d)]
                 structures += [random_structure(rng, d) for _ in range(k - 2)]
-                result = em_fit(structures, data,
-                                TrainConfig(seed=trial, em_max_iters=25, lam=0.3))
+                start = near_uniform_responsibilities(
+                    np.random.default_rng(trial), data.n, k)
+                result = em_fit(structures, data, 0.3, 25, start)
                 trace = np.array(result.objective_trace)
                 assert np.all(np.diff(trace) >= -1e-6)
 
@@ -389,8 +389,9 @@ class TestEmFit:
         data = two_regime_dataset(rng, n=300)
         chain = TreeStructure((None, 0, 1, 2))
         forest = TreeStructure((None, None, None, None))
-        single = em_fit([chain], data, TrainConfig(seed=0, lam=0.1))
-        pair = em_fit([chain, forest], data, TrainConfig(seed=0, lam=0.1))
+        single = em_fit([chain], data, 0.1, 100, np.ones((data.n, 1)))
+        pair = em_fit([chain, forest], data, 0.1, 100, near_uniform_responsibilities(
+            np.random.default_rng(0), data.n, 2))
         assert (observed_log_likelihood(pair.model, data)
                 > observed_log_likelihood(single.model, data))
 
@@ -398,22 +399,64 @@ class TestEmFit:
         rng = np.random.default_rng(17)
         data, _ = expert_dataset(rng, n=10, d=2, m=2)
         with pytest.raises(ArgumentError):
-            em_fit([], data, TrainConfig(lam=0.5))
+            em_fit([], data, 0.5, 100, np.ones((10, 1)))
 
     def test_rejects_unset_lambda(self):
         # grow_mixture selects lambda once; em_fit fits at the one it is given
         rng = np.random.default_rng(24)
         data, _ = expert_dataset(rng, n=20, d=2, m=2)
         with pytest.raises(ArgumentError, match="lam"):
-            em_fit([TreeStructure((None, 0))], data, TrainConfig())
+            em_fit([TreeStructure((None, 0))], data, None, 100, np.ones((20, 1)))
 
-    def test_rejects_init_model_with_responsibilities(self):
-        rng = np.random.default_rng(25)
-        model = random_mixture(rng, k=2, d=2, m=2)
-        data, _ = expert_dataset(rng, n=20, d=2, m=2)
-        with pytest.raises(ArgumentError, match="not both"):
-            em_fit([e.structure for e in model.experts], data, TrainConfig(lam=0.5),
-                   init_model=model, init_responsibilities=np.full((20, 2), 0.5))
+    @pytest.mark.parametrize("case, match", [
+        ("rows sum to 10", "summing to 1"),
+        ("rows sum to 2", "summing to 1"),
+        ("rows sum to 1 + 1e-6", "summing to 1"),
+        ("all-zero rows", "summing to 1"),
+        ("negative entry", ">= 0"),
+        ("nan entry", ">= 0"),
+        ("too few columns", r"\(N, K\)"),
+        ("lam negative", "lam"),
+        ("lam nan", "lam"),
+        ("lam inf", "lam"),
+        ("max_iters 0", "max_iters"),
+        ("max_iters 2.5", "max_iters"),
+        ("max_iters True", "max_iters"),
+        ("start model of another K", "expert count"),
+    ])
+    def test_rejects_bad_arguments(self, case, match):
+        # unchecked, a start whose rows sum to 10 begins at -8.1e6 and ends,
+        # with no error, far below a proper start's fit
+        data = two_regime_dataset(np.random.default_rng(3), n=200)
+        structures = [TreeStructure((None, 0, 1, 2)), TreeStructure((None,) * 4)]
+        args = {"lam": 0.1, "max_iters": 20, "start": np.full((data.n, 2), 0.5)}
+        h = args["start"]
+        change = {
+            "rows sum to 10": ("start", 10 * h),
+            "rows sum to 2": ("start", 2 * h),
+            "rows sum to 1 + 1e-6": ("start", h + 5e-7),
+            "all-zero rows": ("start", 0 * h),
+            "negative entry": ("start", h + [[0.75, -0.75]]),
+            "nan entry": ("start", np.where(np.eye(data.n, 2) == 1, np.nan, h)),
+            "too few columns": ("start", np.ones((data.n, 1))),
+            "lam negative": ("lam", -0.1),
+            "lam nan": ("lam", np.nan),
+            "lam inf": ("lam", np.inf),
+            "max_iters 0": ("max_iters", 0),
+            "max_iters 2.5": ("max_iters", 2.5),
+            "max_iters True": ("max_iters", True),
+            "start model of another K": (
+                "start", random_mixture(np.random.default_rng(4), k=3, d=4, m=2)),
+        }[case]
+        args[change[0]] = change[1]
+        with pytest.raises(ArgumentError, match=match):
+            em_fit(structures, data, **args)
+
+    def test_accepts_rows_summing_to_one_within_tolerance(self):
+        data = two_regime_dataset(np.random.default_rng(3), n=60)
+        structures = [TreeStructure((None, 0, 1, 2)), TreeStructure((None,) * 4)]
+        h = np.full((data.n, 2), 0.5) + 4e-10
+        assert len(em_fit(structures, data, 0.1, 2, h).objective_trace) >= 2
 
 
 class TestTrainConfig:
@@ -610,7 +653,8 @@ class TestLogSumExp:
 
     @staticmethod
     def assert_same_bits(a, **kw):
-        got, want = logsumexp(a, **kw), scipy.special.logsumexp(a, **kw)
+        special = pytest.importorskip("scipy.special")
+        got, want = logsumexp(a, **kw), special.logsumexp(a, **kw)
         assert np.shape(got) == np.shape(want)
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
