@@ -9,6 +9,7 @@ one upward max-sum pass and one downward backtracking pass per tree.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
@@ -135,15 +136,6 @@ class CtbnExpert:
             object.__setattr__(self, "_param_table", table)
         return table
 
-    def logit_table(self, x: np.ndarray) -> np.ndarray:
-        """(..., d, 2) logits z[..., i, v] = theta_{i|parent=v} . x of rows x.
-
-        ``x`` is one (m+1) row or a (..., m+1) stack; each row's product is
-        taken on its own, so a stack equals its single-row calls bit for bit.
-        """
-        x = np.asarray(x, dtype=np.float64)
-        return (self.param_table() @ x[..., None, :, None])[..., 0]
-
 
 def check_feature_rows(x, width: int, batch: bool = False) -> np.ndarray:
     """``x`` as float64, checked: one finite row of ``width``, or N when batch."""
@@ -175,33 +167,45 @@ def all_label_vectors(d: int) -> np.ndarray:
     return (np.arange(2 ** d)[:, None] >> np.arange(d - 1, -1, -1) & 1).astype(np.int8)
 
 
+def row_logits(params: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """(n, ..., d, 2) logits z[r, ..., i, v] = theta_{i|parent=v} . X[r].
+
+    ``params`` is a (d, 2, m+1) param_table or a (..., d, 2, m+1) stack of
+    them, ``X`` an (n, m+1) matrix.  Each row's product is taken on its
+    own, so a batch equals its single-row calls bit for bit.
+    """
+    n, width = X.shape
+    return (params @ X.reshape(n, *(1,) * (params.ndim - 2), width, 1))[..., 0]
+
+
 def node_term_table(logits: np.ndarray) -> np.ndarray:
     """(..., d, 2, 2) t[..., i, v, u] = log P(y_i = u | x, parent = v)."""
     return logistic_log_prob(logits[..., None], np.array([0, 1]))
 
 
-def term_offsets(table: np.ndarray) -> np.ndarray:
-    """Flat index of each node's t[..., i, 0, 0] in a node-term table."""
-    return 4 * np.arange(table.size // 4).reshape(table.shape[:-2])
+def _parent_labels(parent_index: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Y[..., parent_index]: each node's parent label, 0 for a root (index d)."""
+    padded = np.zeros(Y.shape[:-1] + (Y.shape[-1] + 1,), dtype=Y.dtype)
+    padded[..., :-1] = Y
+    return padded[..., parent_index]
 
 
 def term_index(parent_index: np.ndarray, Y: np.ndarray,
-               offsets: np.ndarray) -> np.ndarray:
-    """Flat index of t[i, y_parent(i), y_i] in a node-term table for label rows Y.
+               grid: tuple[int, ...]) -> np.ndarray:
+    """Flat index of t[..., i, y_parent(i), y_i] in a node-term table for label rows Y.
 
-    ``offsets`` holds each node's t[i, 0, 0] (term_offsets); ``Y`` and
-    ``parent_index`` are as in tree_log_prob.
+    Node g of the table's node ``grid`` (its shape[:-2], in C order) holds
+    t[g, v, u] at 4 * g + 2 * v + u.  Y (0/1, integer or float) and
+    parent_index are as in tree_log_prob.
     """
-    Y = np.asarray(Y)
-    padded = np.zeros(Y.shape[:-1] + (Y.shape[-1] + 1,), dtype=np.intp)
-    padded[..., :-1] = Y
-    branch = padded[..., parent_index]
-    own = padded[..., :-1] if parent_index.ndim == 1 else padded[..., None, :-1]
-    return offsets + 2 * branch + own
+    Y = np.asarray(Y).astype(np.intp)
+    own = Y if parent_index.ndim == 1 else Y[..., None, :]
+    offsets = 4 * np.arange(math.prod(grid)).reshape(grid)
+    return offsets + 2 * _parent_labels(parent_index, Y) + own
 
 
-def tree_log_prob(table: np.ndarray, parent_index: np.ndarray, Y: np.ndarray,
-                  offsets: np.ndarray | None = None) -> np.ndarray:
+def tree_log_prob(table: np.ndarray, parent_index: np.ndarray,
+                  Y: np.ndarray) -> np.ndarray:
     """log P(y | x) = sum_i t[i, y_parent(i), y_i] for every (y, expert).
 
     The row kernel: it gathers each node's term from a node_term_table t and
@@ -209,12 +213,10 @@ def tree_log_prob(table: np.ndarray, parent_index: np.ndarray, Y: np.ndarray,
     label vectors with no log-sigmoid.  ``Y`` is (..., d) binary and
     ``parent_index`` (d,) or (K, d) as TreeStructure.parent_index (roots
     take branch 0); table.shape[:-2] broadcasts with Y.shape[:-1] +
-    parent_index.shape.  ``offsets`` is term_offsets(table), passed by a
-    caller that scores one table many times.
+    parent_index.shape.
     """
-    if offsets is None:
-        offsets = term_offsets(table)
-    return node_order_sum(table.take(term_index(parent_index, Y, offsets)))
+    return node_order_sum(table.take(
+        term_index(parent_index, Y, table.shape[:-2])))
 
 
 def node_order_sum(terms: np.ndarray) -> np.ndarray:
@@ -230,8 +232,8 @@ def joint_log_prob(expert: CtbnExpert, x: np.ndarray, y: Sequence[int]) -> float
     """log P(y | x) = sum_i log P(y_i | x, y_parent(i)); always <= 0."""
     x = check_feature_rows(x, expert.n_features)
     y = check_label_vector(y, expert.d)
-    return float(tree_log_prob(node_term_table(expert.logit_table(x)),
-                               expert.structure.parent_index, y))
+    table = node_term_table(row_logits(expert.param_table(), x[None]))[0]
+    return float(tree_log_prob(table, expert.structure.parent_index, y))
 
 
 def node_log_probs(params: np.ndarray, parent_index: np.ndarray,
@@ -248,9 +250,8 @@ def node_log_probs(params: np.ndarray, parent_index: np.ndarray,
     if params.shape[-3] != data.d:
         raise ArgumentError("expert and dataset label counts differ")
     Z = np.einsum("...ivp,np->n...iv", params, data.features)
-    padded = np.zeros((data.n, data.d + 1), dtype=np.int8)
-    padded[:, :-1] = data.labels
-    z = np.where(padded[:, parent_index] == 1, Z[..., 1], Z[..., 0])
+    z = np.where(_parent_labels(parent_index, data.labels) == 1,
+                 Z[..., 1], Z[..., 0])
     labels = data.labels.reshape(data.n, *(1,) * (parent_index.ndim - 1), data.d)
     return logistic_log_prob(z, labels)
 
@@ -289,9 +290,9 @@ def max_sum(table: np.ndarray, structure: TreeStructure) -> np.ndarray:
 def exact_map(expert: CtbnExpert, x: np.ndarray) -> tuple[np.ndarray, float]:
     """Exact MAP assignment of one tree via max-sum, with its log-probability."""
     x = check_feature_rows(x, expert.n_features)
-    table = node_term_table(expert.logit_table(x))
-    y = max_sum(table[None], expert.structure)[0]
-    return y, float(tree_log_prob(table, expert.structure.parent_index, y))
+    table = node_term_table(row_logits(expert.param_table(), x[None]))
+    y = max_sum(table, expert.structure)[0]
+    return y, float(tree_log_prob(table[0], expert.structure.parent_index, y))
 
 
 def train_parameters(

@@ -270,19 +270,19 @@ def _arff_cells(path, label_names: Sequence[str]):
 
 
 def _parse_arff_attribute(line: str) -> str:
-    """Name of a numeric or {0,1} nominal attribute; other types raise."""
+    """Name of a numeric or {0,1} nominal attribute; other types raise.
+
+    A line without a (closed, if quoted) name and a type raises SchemaError.
+    """
     body = line[len("@attribute"):].strip()
     if body.startswith(("'", '"')):
-        quote = body[0]
-        end = body.index(quote, 1)
-        name = body[1:end]
-        rest = body[end + 1:].strip()
+        end = body.find(body[0], 1)        # -1 when the quote is unterminated
+        split = [body[1:end], body[end + 1:]] if end > 0 else []
     else:
         split = body.split(None, 1)
-        if len(split) != 2:
-            raise SchemaError(f"malformed attribute line: {line}")
-        name, rest = split
-    rest = rest.strip()
+    if len(split) != 2 or not split[1].strip():
+        raise SchemaError(f"malformed attribute line: {line}")
+    name, rest = split[0], split[1].strip()
     if rest.startswith("{"):
         values = {v.strip().strip("'\"") for v in rest.strip("{}").split(",")}
         if values <= {"0", "1"}:

@@ -56,18 +56,19 @@ class AnnealConfig:
 def _evaluate(scorer: _MixtureScorer, rows: np.ndarray, fixed: np.ndarray):
     """Per-expert arg-maxes Y (F, K, d), their mixture scores (F, K) and bounds (F,).
 
-    Node f is row rows[f] with labels fixed[f] (-1 where free).  One max-sum
-    over the experts' forest, with excluded label values at -inf, gives
-    expert k's arg-max Y[f, k]; one gather scores every arg-max under every
-    expert, S[f, c, k] = log P_k(Y[f, c] | x).  The bound is
-    logsumexp_k(log g_k + S[f, k, k]).
+    Node f is row rows[f] with labels fixed[f] (-1 where free).  A copy of
+    the rows' tables sets excluded label values to -inf; one max-sum over
+    the experts' forest on it gives expert k's arg-max Y[f, k], and one
+    gather from it scores every arg-max under every expert, S[f, c, k] =
+    log P_k(Y[f, c] | x).  That is exact: every arg-max honours its node's
+    fixings.  The bound is logsumexp_k(log g_k + S[f, k, k]).
     """
     excluded = (fixed[..., None] >= 0) & (fixed[..., None] != np.arange(2))
     table = np.where(excluded[:, None, :, None, :], -np.inf, scorer.table[rows])
     F, K, d = table.shape[:3]
     model = scorer.model
     Y = ctbn.max_sum(table.reshape(F, K * d, 2, 2), model.forest).reshape(F, K, d)
-    S = ctbn.tree_log_prob(scorer.table, model.parent_stack, Y, scorer.offsets[rows, None])
+    S = ctbn.tree_log_prob(table[:, None], model.parent_stack, Y)
     log_gate = scorer.log_gate[rows]
     return (Y, logsumexp(log_gate[:, None] + S, axis=-1),
             logsumexp(log_gate + np.diagonal(S, axis1=1, axis2=2), axis=-1))

@@ -132,12 +132,12 @@ class MixtureModel:
         """Read-only 2^d label vectors Y and their (2^d, K, d) gather index.
 
         index[j, k, i] is the flat position of node i of expert k's term for
-        y = Y[j] in a row's (K, d, 2, 2) node-term table (ctbn.term_index).
-        Only enumerated mixtures use it.
+        y = Y[j] in a row's (K, d, 2, 2) node-term table: ctbn.term_index
+        on the node grid (K, d).  Only enumerated mixtures use it.
         """
         Y = ctbn.all_label_vectors(self.d)
-        offsets = 4 * np.arange(self.k * self.d).reshape(self.k, self.d)
-        return _read_only(Y), _read_only(ctbn.term_index(self.parent_stack, Y, offsets))
+        index = ctbn.term_index(self.parent_stack, Y, (self.k, self.d))
+        return _read_only(Y), _read_only(index)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -159,8 +159,8 @@ class _MixtureScorer:
     """Node-term tables and log-gates of one checked feature row or a batch.
 
     Built once per call from the model's cached MixtureModel.param_stack:
-    one stacked product gives every expert's node logits.  Then a row's
-    mixture log-probability is one ctbn.tree_log_prob gather and a
+    one ctbn.row_logits product gives every expert's node logits.  Then a
+    row's mixture log-probability is one ctbn.tree_log_prob gather and a
     log-sum-exp.
     """
 
@@ -170,13 +170,8 @@ class _MixtureScorer:
         self.model = model
         # stacked products keep each row's bits; a plain X @ theta.T does not
         self.log_gate = gating_log_probs(model.gating, X)   # (n, k)
-        self.table = ctbn.node_term_table((
-            model.param_stack @ X[:, None, None, :, None])[..., 0])  # (n, k, d, 2, 2)
-
-    @cached_property
-    def offsets(self) -> np.ndarray:
-        """ctbn.term_offsets of the table; enumeration does not build them."""
-        return ctbn.term_offsets(self.table)
+        self.table = ctbn.node_term_table(
+            ctbn.row_logits(model.param_stack, X))          # (n, k, d, 2, 2)
 
     def logp_batch(self, Y: np.ndarray) -> np.ndarray:
         """Mixture log-probability of the label rows of an (M, d) matrix.
@@ -185,7 +180,7 @@ class _MixtureScorer:
         scores every row against its one feature vector.  ``Y`` is unchecked.
         """
         return logsumexp(self.log_gate + ctbn.tree_log_prob(
-            self.table, self.model.parent_stack, Y, self.offsets), axis=-1)
+            self.table, self.model.parent_stack, Y), axis=-1)
 
 
 def mixture_log_prob(model: MixtureModel, x: np.ndarray, y) -> float:

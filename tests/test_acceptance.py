@@ -202,7 +202,7 @@ def test_criterion_6_exact_tree_map_matches_enumeration():
         y, lp = exact_map(expert, x)
         Y = all_label_vectors(d)
         sign = 2.0 * Y - 1.0
-        z = expert.logit_table(x)
+        z = expert.param_table() @ x
         total = np.zeros(Y.shape[0])
         for i, p in enumerate(expert.structure.parent):
             v = np.zeros(Y.shape[0], dtype=np.intp) if p is None \

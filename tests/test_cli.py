@@ -185,6 +185,12 @@ class TestTrainPredict:
         ("arff-cell-nan", "parse"),
         ("arff-cell-inf", "parse"),
         ("arff-attribute-repeated", "schema"),
+        ("arff-attribute-unterminated-quote", "schema"),
+        ("arff-predict-attribute-unterminated-quote", "schema"),
+        ("evaluate-data-other-d", "schema"),
+        ("evaluate-data-other-m", "schema"),
+        ("train-csv-without-labels", "argument"),
+        ("cv-csv-without-labels", "argument"),
         ("binary-data", "io"),
         ("flag-lambda-grid-words", "argument"),
         ("flag-lambda-grid-overflow", "argument"),
@@ -303,6 +309,20 @@ class TestTrainPredict:
             data.write_text("@relation t\n@attribute f1 numeric\n@attribute L1 numeric\n"
                             "@attribute L1 numeric\n@data\n0.5,1,0\n")
             args = ["train", "--data", data, "--label-names", "L1"]
+        elif "unterminated-quote" in case:
+            data = tmp_path / "bad.arff"
+            data.write_text("@relation t\n@attribute 'f1 numeric\n"
+                            "@attribute L1 numeric\n@data\n0.5,1\n")
+            args = (["predict", "--model", model_path] if "predict" in case
+                    else ["train"]) + ["--data", data, "--label-names", "L1"]
+        elif case.startswith("evaluate-data-other-"):
+            # d=3 labels, or m=3 features, against the m=2, d=2 model
+            data.write_text("0.5,1.0,0,1,1\n0.25,-1.0,1,0,0\n")
+            labels = 3 if case.endswith("-d") else 2
+            args = ["evaluate", "--model", model_path, "--data", data,
+                    "--labels", labels]
+        elif case.endswith("-csv-without-labels"):
+            args = [case.split("-")[0], "--data", toy_csv]
         elif case == "train-without-data":
             args = ["train", "--labels", 2]
         elif case == "no-subcommand":
@@ -326,6 +346,17 @@ class TestTrainPredict:
             assert "row 2" in err
         if case.endswith("-removed"):
             assert "unrecognized arguments" in err
+        message = {
+            "arff-attribute-unterminated-quote":
+                "malformed attribute line: @attribute 'f1 numeric",
+            "evaluate-data-other-d":
+                "model (m=2, d=2) does not match data (m=2, d=3)",
+            "evaluate-data-other-m":
+                "model (m=2, d=2) does not match data (m=3, d=2)",
+            "train-csv-without-labels":
+                "--labels is required for CSV data"}.get(case)
+        if message is not None:
+            assert err == f"mlme: error[{code}] {message}\n"
         assert len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
 

@@ -13,7 +13,6 @@ from mlme.ctbn import (
     node_log_probs,
     node_order_sum,
     node_term_table,
-    term_offsets,
     train_parameters,
     tree_log_prob,
 )
@@ -81,8 +80,8 @@ class TestTreeLogProb:
         got = tree_log_prob(table, parents, Y)
         assert got.shape == (N, K)
         assert_same_bits(got, want)
-        assert_same_bits(tree_log_prob(table, parents, Y, term_offsets(table)),
-                         want)
+        # float 0.0/1.0 labels index like integer ones
+        assert_same_bits(tree_log_prob(table, parents, Y.astype(float)), want)
         for n in range(N):  # one label vector against K experts
             assert_same_bits(tree_log_prob(table, parents, Y[n]), want[n])
         for k, s in enumerate(structures):  # per-row tables, one expert
@@ -283,7 +282,7 @@ class TestMaxSum:
                 expert = random_expert(rng, d=d, m=3)
                 X = np.stack([random_x(rng, 3) for _ in range(9)])
                 table = node_term_table(
-                    np.stack([expert.logit_table(x) for x in X]))
+                    np.stack([expert.param_table() @ x for x in X]))
                 Y = max_sum(table, expert.structure)
                 assert Y.shape == (9, d) and Y.dtype == np.int8
                 for x, y in zip(X, Y):
@@ -297,14 +296,14 @@ class TestMaxSum:
             for p in structure.parent)
         expert = CtbnExpert(structure, cpds)
         X = np.random.default_rng(32).normal(size=(6, 3))
-        table = node_term_table(np.stack([expert.logit_table(x) for x in X]))
+        table = node_term_table(np.stack([expert.param_table() @ x for x in X]))
         assert max_sum(table, structure).tolist() == [[0] * 5] * 6
 
     def test_table_entries_equal_tree_terms(self):
         # the dataset kernel's terms are the entries the row kernel gathers
         rng = np.random.default_rng(33)
         expert = random_expert(rng, d=6, m=2, scale=400.0)
-        logits = expert.logit_table(random_x(rng, 2))
+        logits = expert.param_table() @ random_x(rng, 2)
         table = node_term_table(logits)
         Y = all_label_vectors(6)
         # one constant feature: the dataset kernel's logits are exactly these
@@ -386,7 +385,7 @@ class TestTrainParameters:
         lp = joint_log_prob(expert, x, y)
         factors = []
         for i, p in enumerate(expert.structure.parent):
-            z = expert.logit_table(x)[i, 0 if p is None else y[p]]
+            z = (expert.param_table() @ x)[i, 0 if p is None else y[p]]
             factors.append(float(-np.logaddexp(0, -z if y[i] == 1 else z)))
         for perm in ([3, 2, 1, 0], [1, 3, 0, 2]):
             assert abs(lp - sum(factors[j] for j in perm)) < 1e-12

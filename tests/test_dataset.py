@@ -132,6 +132,46 @@ class TestLoadArff:
         with pytest.raises(ArgumentError, match="at least one label"):
             load_arff(tmp_path / "missing.arff", [])
 
+    def test_quoted_names(self, tmp_path):
+        text = (ARFF.replace("@attribute f1 numeric", "@attribute 'Mean Acc' numeric")
+                .replace("@attribute f2 real", '@attribute "x2" real')
+                .replace("@attribute L1 {0,1}", "@attribute 'L1' {'0','1'}"))
+        data = load_arff(write(tmp_path, "t.arff", text), ["L1", "L2"])
+        assert np.array_equal(data.labels, [[1, 0], [0, 1]])
+        assert data.features[0].tolist() == [1.0, 0.5, 2.5]
+
+    def test_no_attribute_lines(self, tmp_path):
+        path = write(tmp_path, "t.arff", "@relation toy\n@data\n0.5,1\n")
+        with pytest.raises(SchemaError, match="no @attribute declarations"):
+            load_arff(path, ["L1"])
+
+    @pytest.mark.parametrize("attribute", [
+        "'f1 numeric",          # unterminated quote
+        "'f1\" numeric",        # mismatched quotes
+        "'f1'",                 # quoted name, no type
+        "f1",                   # bare name, no type
+    ])
+    def test_malformed_attribute_line(self, tmp_path, attribute):
+        text = ARFF.replace("@attribute f1 numeric", f"@attribute {attribute}")
+        path = write(tmp_path, "t.arff", text)
+        message = re.escape(f"malformed attribute line: @attribute {attribute}")
+        with pytest.raises(SchemaError, match=message):
+            load_arff(path, ["L1", "L2"])
+        with pytest.raises(SchemaError, match=message):
+            read_features(path, 2, 2, ["L1", "L2"])
+
+    def test_unsupported_type(self, tmp_path):
+        text = ARFF.replace("@attribute f2 real", "@attribute f2 string")
+        path = write(tmp_path, "t.arff", text)
+        with pytest.raises(UnsupportedAttributeError,
+                           match="'f2' has unsupported type 'string'"):
+            load_arff(path, ["L1", "L2"])
+
+    def test_empty_data_section(self, tmp_path):
+        path = write(tmp_path, "t.arff", ARFF[:ARFF.index("0.5")] + "% none\n")
+        with pytest.raises(SchemaError, match="no data rows"):
+            load_arff(path, ["L1", "L2"])
+
     def test_sparse_rows_unsupported(self, tmp_path):
         path = write(tmp_path, "t.arff", ARFF + "{0 1.5, 1 1}\n")
         with pytest.raises(UnsupportedAttributeError, match="sparse"):

@@ -8,7 +8,7 @@ import pytest
 from conftest import random_expert, random_mixture, random_x
 from mlme import inference
 from mlme.ctbn import (CtbnExpert, TreeStructure, exact_map, joint_log_prob,
-                       node_term_table)
+                       node_term_table, row_logits)
 from mlme.errors import ArgumentError, GuardError, UncertifiedMapWarning
 from mlme.inference import (
     AnnealConfig,
@@ -299,11 +299,12 @@ class TestStackedProducts:
                 assert gating_log_probs(model.gating, x).tobytes() == want.tobytes()
                 assert got[r].tobytes() == want.tobytes()
             for expert in model.experts:
-                got = expert.logit_table(X)
+                got = row_logits(expert.param_table(), X)
                 assert got.shape == (n, d, 2)
                 for r, x in enumerate(X):
                     want = expert.param_table() @ x
-                    assert expert.logit_table(x).tobytes() == want.tobytes()
+                    one = row_logits(expert.param_table(), x[None])[0]
+                    assert one.tobytes() == want.tobytes()
                     assert got[r].tobytes() == want.tobytes()
             # the scorer's one product over the model's param_stack gives
             # every expert's node terms, for any memory layout of the batch
@@ -311,7 +312,7 @@ class TestStackedProducts:
             assert table.shape == (n, k, d, 2, 2)
             for j, expert in enumerate(model.experts):
                 for r, x in enumerate(X):
-                    want = node_term_table(expert.logit_table(x))
+                    want = node_term_table(expert.param_table() @ x)
                     assert table[r, j].tobytes() == want.tobytes()
             wide = np.zeros((2 * n, m + 1))
             wide[::2] = X

@@ -288,6 +288,15 @@ class TestSelectLambda:
         data = Dataset.from_raw(np.zeros((5, 1)), np.zeros((5, 1), dtype=int))
         assert select_lambda(data, (0.5,)) == 0.5
 
+    def test_one_instance_gets_the_smallest_value(self):
+        data = Dataset.from_raw(np.ones((1, 2)), np.ones((1, 1), dtype=int))
+        assert select_lambda(data, (1.0, 0.1, 10.0)) == 0.1
+
+    def test_rejects_empty_grid(self):
+        data = Dataset.from_raw(np.zeros((5, 1)), np.zeros((5, 1), dtype=int))
+        with pytest.raises(ArgumentError, match="lambda grid must be nonempty"):
+            select_lambda(data, ())
+
     @pytest.mark.parametrize("seed", [-1, 1.5, True, None])
     def test_rejects_non_integral_seed(self, seed):
         data = Dataset.from_raw(np.zeros((6, 1)), np.zeros((6, 1), dtype=int))

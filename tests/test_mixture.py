@@ -43,6 +43,7 @@ from mlme.mixture import (
     m_step_gate,
     mixture_log_prob,
     observed_log_likelihood,
+    penalized_objective,
 )
 
 
@@ -383,6 +384,17 @@ class TestEmFit:
                 result = em_fit(structures, data, 0.3, 25, start)
                 trace = np.array(result.objective_trace)
                 assert np.all(np.diff(trace) >= -1e-6)
+
+    def test_trace_ends_at_penalized_objective(self):
+        rng = np.random.default_rng(18)
+        data, _ = expert_dataset(rng, n=40, d=3, m=2)
+        structures = [TreeStructure((None, 0, 1)), TreeStructure((None,) * 3)]
+        for start in (np.ones((40, 1)),
+                      near_uniform_responsibilities(np.random.default_rng(1), 40, 2)):
+            fit = em_fit(structures[:start.shape[1]], data, 0.3, 12, start)
+            last = penalized_objective(fit.model, data, 0.3)
+            assert np.float64(last).tobytes() == \
+                np.float64(fit.objective_trace[-1]).tobytes()
 
     def test_mixture_beats_single_expert_on_two_regime_data(self):
         rng = np.random.default_rng(16)
